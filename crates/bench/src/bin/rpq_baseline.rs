@@ -44,11 +44,12 @@
 //!   time plus **peak heap bytes** from the counting allocator, in the
 //!   `*-peak-bytes` pseudo-records), sequential vs. sharded label-index
 //!   build, dense vs. sparse frontier evaluation of a low-reach chain
-//!   query, sequential vs. parallel batch evaluation, and publish latency
-//!   with sequential vs. sharded index patching.
+//!   query, sequential vs. parallel batch evaluation, and publish latency.
 //!
-//! Samples for the compared modes are interleaved round-robin so clock or
-//! thermal drift cannot bias the comparison one way.
+//! Samples for the compared modes are interleaved, rotating which mode
+//! runs first in each round, so clock or thermal drift cannot bias the
+//! comparison one way.  Every record carries the mean, min and median of its
+//! samples; the smoke floors compare medians.
 //!
 //! ```text
 //! cargo run --release -p gps-bench --bin rpq_baseline [-- --smoke]
@@ -156,6 +157,7 @@ struct Record {
     query: String,
     mean_ns: f64,
     min_ns: f64,
+    median_ns: f64,
     iterations: u64,
 }
 
@@ -176,14 +178,24 @@ fn sample<O>(iters: u64, f: &mut impl FnMut() -> O) -> f64 {
     start.elapsed().as_nanos() as f64 / iters as f64
 }
 
-fn summarize(samples: &[f64]) -> (f64, f64) {
+/// Mean, min and median of a sample series.
+fn summarize(samples: &[f64]) -> (f64, f64, f64) {
     let mean = samples.iter().sum::<f64>() / samples.len() as f64;
-    let min = samples.iter().cloned().fold(f64::INFINITY, f64::min);
-    (mean, min)
+    let mut sorted = samples.to_vec();
+    sorted.sort_by(f64::total_cmp);
+    let mid = sorted.len() / 2;
+    let median = if sorted.len().is_multiple_of(2) {
+        (sorted[mid - 1] + sorted[mid]) / 2.0
+    } else {
+        sorted[mid]
+    };
+    (mean, sorted[0], median)
 }
 
-/// Times a set of labeled closures with interleaved (round-robin) samples
-/// and appends one record per closure.
+/// Times a set of labeled closures with interleaved samples and appends one
+/// record per closure.  Each round runs every closure once in the same
+/// cyclic order, starting one arm later than the round before, so every arm
+/// runs first equally often.
 fn bench_group(
     dataset: &str,
     graph_size: (usize, usize),
@@ -194,14 +206,14 @@ fn bench_group(
 ) {
     let iters: Vec<u64> = runners.iter_mut().map(|(_, f)| calibrate(f)).collect();
     let mut all_samples: Vec<Vec<f64>> = vec![Vec::with_capacity(samples); runners.len()];
-    for _ in 0..samples {
-        for ((series, (_, f)), &iters) in all_samples.iter_mut().zip(runners.iter_mut()).zip(&iters)
-        {
-            series.push(sample(iters, f));
+    for round in 0..samples {
+        for k in 0..runners.len() {
+            let arm = (round + k) % runners.len();
+            all_samples[arm].push(sample(iters[arm], &mut runners[arm].1));
         }
     }
     for (((name, _), series), &iterations) in runners.iter().zip(&all_samples).zip(&iters) {
-        let (mean_ns, min_ns) = summarize(series);
+        let (mean_ns, min_ns, median_ns) = summarize(series);
         records.push(Record {
             dataset: dataset.to_string(),
             backend: name,
@@ -210,6 +222,7 @@ fn bench_group(
             query: query.to_string(),
             mean_ns,
             min_ns,
+            median_ns,
             iterations,
         });
     }
@@ -367,6 +380,7 @@ fn session_records(graph: &Graph, goal_syntax: &str, samples: usize, records: &m
     for record in &mut records[before..] {
         record.mean_ns /= per_session;
         record.min_ns /= per_session;
+        record.median_ns /= per_session;
     }
 }
 
@@ -437,6 +451,7 @@ fn concurrent_session_records(
     for record in &mut records[before..] {
         record.mean_ns /= sessions;
         record.min_ns /= sessions;
+        record.median_ns /= sessions;
     }
 }
 
@@ -614,6 +629,7 @@ fn live_update_records(
     for record in &mut records[before..] {
         record.mean_ns /= sessions;
         record.min_ns /= sessions;
+        record.median_ns /= sessions;
     }
 }
 
@@ -747,7 +763,7 @@ fn ivm_records(graph: &Graph, samples: usize, records: &mut Vec<Record>) {
         ("post-publish-first-eval-ivm", &eval_ivm),
         ("post-publish-first-eval-coldstart", &eval_cold),
     ] {
-        let (mean_ns, min_ns) = summarize(series);
+        let (mean_ns, min_ns, median_ns) = summarize(series);
         records.push(Record {
             dataset: "scale-free-2000-ivm".to_string(),
             backend,
@@ -756,6 +772,7 @@ fn ivm_records(graph: &Graph, samples: usize, records: &mut Vec<Record>) {
             query: query.clone(),
             mean_ns,
             min_ns,
+            median_ns,
             iterations: 1,
         });
     }
@@ -916,7 +933,7 @@ fn ivm_delete_records(graph: &Graph, samples: usize, records: &mut Vec<Record>) 
         ("post-publish-first-eval-delete-ivm", &eval_ivm),
         ("post-publish-first-eval-delete-coldstart", &eval_cold),
     ] {
-        let (mean_ns, min_ns) = summarize(series);
+        let (mean_ns, min_ns, median_ns) = summarize(series);
         records.push(Record {
             dataset: "scale-free-2000-ivm".to_string(),
             backend,
@@ -925,6 +942,7 @@ fn ivm_delete_records(graph: &Graph, samples: usize, records: &mut Vec<Record>) 
             query: query.clone(),
             mean_ns,
             min_ns,
+            median_ns,
             iterations: 1,
         });
     }
@@ -1072,6 +1090,7 @@ fn telemetry_records(
     for record in &mut records[before..] {
         record.mean_ns /= sessions;
         record.min_ns /= sessions;
+        record.median_ns /= sessions;
     }
     enabled
 }
@@ -1097,9 +1116,7 @@ fn telemetry_records(
 ///   exercises the sparse representation's favourable regime);
 /// * `batch-eval-seq` vs. `batch-eval-parallel` — 8 chain queries through
 ///   the shared-scratch batch API vs. the scoped-thread executor;
-/// * `publish-seq` vs. `publish-sharded` — one 4-op leaf publish through
-///   the epoch-versioned store with the index patched on 1 shard vs. all
-///   cores (`GpsBuilder::index_shards`).
+/// * `publish` — one 4-op leaf publish through the epoch-versioned store.
 ///
 /// Returns the dataset name so the caller can check the smoke floors.
 fn scale_records(smoke: bool, records: &mut Vec<Record>) -> &'static str {
@@ -1120,7 +1137,9 @@ fn scale_records(smoke: bool, records: &mut Vec<Record>) -> &'static str {
         skewed_labels: true,
         seed: 42,
     };
-    let samples = if smoke { 4 } else { 5 };
+    // Nine samples per arm in both modes: the smoke floors on this group
+    // compare medians of arms a few milliseconds apart.
+    let samples = 9;
     let cores = std::thread::available_parallelism().map_or(1, |x| x.get());
 
     // Corpus build: streamed vs. Graph-then-compact, interleaved, with the
@@ -1158,7 +1177,7 @@ fn scale_records(smoke: bool, records: &mut Vec<Record>) -> &'static str {
         ("build-streamed", &streamed_ns),
         ("build-graph-then-compact", &compact_ns),
     ] {
-        let (mean_ns, min_ns) = summarize(series);
+        let (mean_ns, min_ns, median_ns) = summarize(series);
         records.push(Record {
             dataset: dataset.to_string(),
             backend,
@@ -1167,6 +1186,7 @@ fn scale_records(smoke: bool, records: &mut Vec<Record>) -> &'static str {
             query: "corpus build".to_string(),
             mean_ns,
             min_ns,
+            median_ns,
             iterations: 1,
         });
     }
@@ -1182,6 +1202,7 @@ fn scale_records(smoke: bool, records: &mut Vec<Record>) -> &'static str {
             query: "peak heap bytes during one corpus build".to_string(),
             mean_ns: peak as f64,
             min_ns: peak as f64,
+            median_ns: peak as f64,
             iterations: 1,
         });
     }
@@ -1300,62 +1321,44 @@ fn scale_records(smoke: bool, records: &mut Vec<Record>) -> &'static str {
         records,
     );
 
-    // Publish latency: the same 4-op leaf publish through two stores over
-    // the *same* snapshot Arc (no copy), one patching its index on a single
-    // shard, one fanning the patch across every core.
-    let store_for = |shards: usize| {
-        VersionedStore::new(
-            Engine::builder(Graph::new())
-                .eval_mode(EvalMode::Frontier)
-                .index_shards(shards)
-                .max_interactions(24)
-                .build_core_over(Arc::clone(&snapshot)),
-        )
-    };
-    let adds: Vec<UpdateOp> = (0..4)
-        .map(|i| UpdateOp::AddEdge {
-            source: format!("v{}", n - 1 - 2 * i),
-            label: "live".to_string(),
-            target: format!("v{}", n - 2 - 2 * i),
-        })
-        .collect();
-    let seq_store = store_for(1);
-    let sharded_store = store_for(cores);
-    let seq_updates = OscillatingUpdates::from_adds(adds.clone());
-    let sharded_updates = OscillatingUpdates::from_adds(adds);
-    let mut run_publish_seq = || {
-        black_box(
-            seq_store
-                .update(seq_updates.next())
-                .expect("leaf publish applies"),
-        );
-    };
-    let mut run_publish_sharded = || {
-        black_box(
-            sharded_store
-                .update(sharded_updates.next())
-                .expect("leaf publish applies"),
-        );
+    // Publish latency: a 4-op leaf publish through a store over the *same*
+    // snapshot Arc (no copy).
+    let store = VersionedStore::new(
+        Engine::builder(Graph::new())
+            .eval_mode(EvalMode::Frontier)
+            .max_interactions(24)
+            .build_core_over(Arc::clone(&snapshot)),
+    );
+    let updates = OscillatingUpdates::from_adds(
+        (0..4)
+            .map(|i| UpdateOp::AddEdge {
+                source: format!("v{}", n - 1 - 2 * i),
+                label: "live".to_string(),
+                target: format!("v{}", n - 2 - 2 * i),
+            })
+            .collect(),
+    );
+    let mut run_publish = || {
+        black_box(store.update(updates.next()).expect("leaf publish applies"));
     };
     bench_group(
         dataset,
         (n, m),
         "publish of 4 leaf ops",
         samples,
-        &mut [
-            ("publish-seq", &mut run_publish_seq),
-            ("publish-sharded", &mut run_publish_sharded),
-        ],
+        &mut [("publish", &mut run_publish)],
         records,
     );
     dataset
 }
 
-fn mean_of(records: &[Record], dataset: &str, backend: &str) -> f64 {
+/// The median of a record: every smoke floor compares medians, which one
+/// descheduled sample cannot drag the way it drags a mean.
+fn median_of(records: &[Record], dataset: &str, backend: &str) -> f64 {
     records
         .iter()
         .find(|r| r.dataset == dataset && r.backend == backend)
-        .map(|r| r.mean_ns)
+        .map(|r| r.median_ns)
         .unwrap_or(f64::NAN)
 }
 
@@ -1395,7 +1398,7 @@ fn main() {
     // scale-free graph — negatives are what exercise coverage, pruning and
     // the dirty-set sweeps.
     let session_syntax = format!("{}.{}*.{}", name(2), name(0), name(1));
-    let session_samples = if smoke { 4 } else { 12 };
+    let session_samples = if smoke { 9 } else { 12 };
     session_records(&sf, &session_syntax, session_samples, &mut records);
 
     // Multi-session serving: a batch of specification tasks with a mix of
@@ -1445,7 +1448,7 @@ fn main() {
     );
     for (i, r) in records.iter().enumerate() {
         out.push_str(&format!(
-            "    {{\"dataset\": \"{}\", \"backend\": \"{}\", \"nodes\": {}, \"edges\": {}, \"query\": \"{}\", \"mean_ns\": {:.0}, \"min_ns\": {:.0}, \"iterations\": {}}}{}\n",
+            "    {{\"dataset\": \"{}\", \"backend\": \"{}\", \"nodes\": {}, \"edges\": {}, \"query\": \"{}\", \"mean_ns\": {:.0}, \"min_ns\": {:.0}, \"median_ns\": {:.0}, \"iterations\": {}}}{}\n",
             r.dataset,
             r.backend,
             r.nodes,
@@ -1453,6 +1456,7 @@ fn main() {
             r.query.replace('"', "\\\""),
             r.mean_ns,
             r.min_ns,
+            r.median_ns,
             r.iterations,
             if i + 1 == records.len() { "" } else { "," },
         ));
@@ -1469,8 +1473,8 @@ fn main() {
     // loudly without tripping on runner noise.
     let mut failures = Vec::new();
     for dataset in ["transport-600", "scale-free-2000"] {
-        let naive = mean_of(&records, dataset, "csr-naive");
-        let frontier = mean_of(&records, dataset, "csr-frontier");
+        let naive = median_of(&records, dataset, "csr-naive");
+        let frontier = median_of(&records, dataset, "csr-frontier");
         let speedup = naive / frontier;
         println!("{dataset}: frontier speedup over csr-naive = {speedup:.2}x");
         // Written so that a NaN (missing record — e.g. a renamed dataset or
@@ -1482,9 +1486,9 @@ fn main() {
         }
     }
     let batch_name = &batch.name;
-    let naive_loop = mean_of(&records, batch_name, "batch-naive-loop");
-    let seq = mean_of(&records, batch_name, "batch-frontier-seq");
-    let parallel = mean_of(&records, batch_name, "batch-frontier-parallel");
+    let naive_loop = median_of(&records, batch_name, "batch-naive-loop");
+    let seq = median_of(&records, batch_name, "batch-frontier-seq");
+    let parallel = median_of(&records, batch_name, "batch-frontier-parallel");
     println!(
         "{batch_name}: loop/seq = {:.2}x, loop/parallel = {:.2}x ({threads} threads)",
         naive_loop / seq,
@@ -1496,9 +1500,9 @@ fn main() {
         ));
     }
     let session_dataset = "scale-free-2000-session";
-    let session_naive = mean_of(&records, session_dataset, "session-naive");
-    let session_frontier = mean_of(&records, session_dataset, "session-frontier");
-    let session_parallel = mean_of(&records, session_dataset, "session-parallel");
+    let session_naive = median_of(&records, session_dataset, "session-naive");
+    let session_frontier = median_of(&records, session_dataset, "session-frontier");
+    let session_parallel = median_of(&records, session_dataset, "session-parallel");
     let session_speedup = session_naive / session_frontier;
     println!(
         "{session_dataset}: frontier sessions {:.0} interactions/sec vs naive {:.0} ({session_speedup:.2}x, parallel {:.0})",
@@ -1516,10 +1520,10 @@ fn main() {
         ));
     }
     let service_dataset = "scale-free-2000-service";
-    let sequential = mean_of(&records, service_dataset, "sessions-sequential");
-    let w1 = mean_of(&records, service_dataset, "concurrent-sessions-w1");
-    let w4 = mean_of(&records, service_dataset, "concurrent-sessions-w4");
-    let w8 = mean_of(&records, service_dataset, "concurrent-sessions-w8");
+    let sequential = median_of(&records, service_dataset, "sessions-sequential");
+    let w1 = median_of(&records, service_dataset, "concurrent-sessions-w1");
+    let w4 = median_of(&records, service_dataset, "concurrent-sessions-w4");
+    let w8 = median_of(&records, service_dataset, "concurrent-sessions-w8");
     println!(
         "{service_dataset}: sequential {:.0} sessions/sec; service {:.0} (1 worker) / {:.0} (4) / {:.0} (8)",
         1e9 / sequential,
@@ -1540,9 +1544,9 @@ fn main() {
         ));
     }
     let live_dataset = "scale-free-2000-live";
-    let publish = mean_of(&records, live_dataset, "update-publish");
-    let static_sessions = mean_of(&records, live_dataset, "sessions-static");
-    let during = mean_of(&records, live_dataset, "sessions-during-updates");
+    let publish = median_of(&records, live_dataset, "update-publish");
+    let static_sessions = median_of(&records, live_dataset, "sessions-static");
+    let during = median_of(&records, live_dataset, "sessions-during-updates");
     let live_ratio = static_sessions / during;
     println!(
         "{live_dataset}: publish {:.0} µs; sessions {:.0}/sec static vs {:.0}/sec during updates ({live_ratio:.2}x)",
@@ -1563,10 +1567,10 @@ fn main() {
         failures.push(format!("{live_dataset}: missing update-publish record"));
     }
     let ivm_dataset = "scale-free-2000-ivm";
-    let post_ivm = mean_of(&records, ivm_dataset, "post-publish-first-eval-ivm");
-    let post_cold = mean_of(&records, ivm_dataset, "post-publish-first-eval-coldstart");
-    let publish_ivm = mean_of(&records, ivm_dataset, "publish-ivm");
-    let publish_coldstart = mean_of(&records, ivm_dataset, "publish-coldstart");
+    let post_ivm = median_of(&records, ivm_dataset, "post-publish-first-eval-ivm");
+    let post_cold = median_of(&records, ivm_dataset, "post-publish-first-eval-coldstart");
+    let publish_ivm = median_of(&records, ivm_dataset, "publish-ivm");
+    let publish_coldstart = median_of(&records, ivm_dataset, "publish-coldstart");
     let ivm_speedup = post_cold / post_ivm;
     println!(
         "{ivm_dataset}: first post-publish read of 16 warm queries {:.1} µs carried vs {:.1} µs cold ({ivm_speedup:.1}x); publish {:.1} µs with migration vs {:.1} µs cold-start",
@@ -1588,14 +1592,14 @@ fn main() {
     if smoke && (publish_ivm.is_nan() || publish_coldstart.is_nan()) {
         failures.push(format!("{ivm_dataset}: missing publish records"));
     }
-    let post_delete_ivm = mean_of(&records, ivm_dataset, "post-publish-first-eval-delete-ivm");
-    let post_delete_cold = mean_of(
+    let post_delete_ivm = median_of(&records, ivm_dataset, "post-publish-first-eval-delete-ivm");
+    let post_delete_cold = median_of(
         &records,
         ivm_dataset,
         "post-publish-first-eval-delete-coldstart",
     );
-    let publish_delete_ivm = mean_of(&records, ivm_dataset, "publish-delete-ivm");
-    let publish_delete_cold = mean_of(&records, ivm_dataset, "publish-delete-coldstart");
+    let publish_delete_ivm = median_of(&records, ivm_dataset, "publish-delete-ivm");
+    let publish_delete_cold = median_of(&records, ivm_dataset, "publish-delete-coldstart");
     let delete_speedup = post_delete_cold / post_delete_ivm;
     println!(
         "{ivm_dataset}: first post-publish read after a mixed delete {:.1} µs delete-reseeded vs {:.1} µs cold ({delete_speedup:.1}x); publish {:.1} µs with migration vs {:.1} µs cold-start",
@@ -1619,9 +1623,9 @@ fn main() {
         failures.push(format!("{ivm_dataset}: missing delete publish records"));
     }
     let durable_dataset = "scale-free-2000-durable";
-    let durable_publish = mean_of(&records, durable_dataset, "durable-publish");
-    let memory_publish = mean_of(&records, durable_dataset, "memory-publish");
-    let recovery = mean_of(&records, durable_dataset, "recovery");
+    let durable_publish = median_of(&records, durable_dataset, "durable-publish");
+    let memory_publish = median_of(&records, durable_dataset, "memory-publish");
+    let recovery = median_of(&records, durable_dataset, "recovery");
     let durable_overhead = durable_publish / memory_publish;
     println!(
         "{durable_dataset}: durable publish {:.0} µs vs in-memory {:.0} µs ({durable_overhead:.2}x); recovery of 32 publishes {:.2} ms",
@@ -1644,8 +1648,8 @@ fn main() {
         failures.push(format!("{durable_dataset}: missing recovery record"));
     }
     let telemetry_dataset = "scale-free-2000-telemetry";
-    let telemetry_off = mean_of(&records, telemetry_dataset, "telemetry-disabled");
-    let telemetry_on = mean_of(&records, telemetry_dataset, "telemetry-enabled");
+    let telemetry_off = median_of(&records, telemetry_dataset, "telemetry-disabled");
+    let telemetry_on = median_of(&records, telemetry_dataset, "telemetry-enabled");
     let telemetry_ratio = telemetry_off / telemetry_on;
     println!(
         "{telemetry_dataset}: {:.0} sessions/sec disabled vs {:.0}/sec enabled ({telemetry_ratio:.2}x)",
@@ -1663,30 +1667,28 @@ fn main() {
             "{telemetry_dataset}: instrumented sessions at {telemetry_ratio:.2}x of uninstrumented throughput ({telemetry_on:.0} vs {telemetry_off:.0} ns/session), below the 0.95x smoke floor"
         ));
     }
-    let scale_seq_build = mean_of(&records, scale_dataset, "index-build-seq");
-    let scale_sharded_build = mean_of(&records, scale_dataset, "index-build-sharded");
+    let scale_seq_build = median_of(&records, scale_dataset, "index-build-seq");
+    let scale_sharded_build = median_of(&records, scale_dataset, "index-build-sharded");
     let scale_build_ratio = scale_seq_build / scale_sharded_build;
-    let scale_dense = mean_of(&records, scale_dataset, "eval-dense-frontier");
-    let scale_sparse = mean_of(&records, scale_dataset, "eval-sparse-frontier");
+    let scale_dense = median_of(&records, scale_dataset, "eval-dense-frontier");
+    let scale_sparse = median_of(&records, scale_dataset, "eval-sparse-frontier");
     let scale_sparse_ratio = scale_dense / scale_sparse;
-    let scale_streamed_peak = mean_of(&records, scale_dataset, "build-streamed-peak-bytes");
-    let scale_compact_peak = mean_of(
+    let scale_streamed_peak = median_of(&records, scale_dataset, "build-streamed-peak-bytes");
+    let scale_compact_peak = median_of(
         &records,
         scale_dataset,
         "build-graph-then-compact-peak-bytes",
     );
-    let scale_streamed_build = mean_of(&records, scale_dataset, "build-streamed");
-    let scale_compact_build = mean_of(&records, scale_dataset, "build-graph-then-compact");
-    let scale_publish_seq = mean_of(&records, scale_dataset, "publish-seq");
-    let scale_publish_sharded = mean_of(&records, scale_dataset, "publish-sharded");
+    let scale_streamed_build = median_of(&records, scale_dataset, "build-streamed");
+    let scale_compact_build = median_of(&records, scale_dataset, "build-graph-then-compact");
+    let scale_publish = median_of(&records, scale_dataset, "publish");
     println!(
-        "{scale_dataset}: streamed build {:.0} ms / {:.0} MiB peak vs graph-then-compact {:.0} ms / {:.0} MiB peak; sharded index build {scale_build_ratio:.2}x of sequential; sparse low-reach reseed {scale_sparse_ratio:.2}x of dense; publish {:.1} ms on 1 shard vs {:.1} ms sharded",
+        "{scale_dataset}: streamed build {:.0} ms / {:.0} MiB peak vs graph-then-compact {:.0} ms / {:.0} MiB peak; sharded index build {scale_build_ratio:.2}x of sequential; sparse low-reach reseed {scale_sparse_ratio:.2}x of dense; publish {:.1} ms",
         scale_streamed_build / 1e6,
         scale_streamed_peak / (1024.0 * 1024.0),
         scale_compact_build / 1e6,
         scale_compact_peak / (1024.0 * 1024.0),
-        scale_publish_seq / 1e6,
-        scale_publish_sharded / 1e6,
+        scale_publish / 1e6,
     );
     // Sharding must never cost throughput: on one core the sharded build is
     // the literal sequential code path, on many cores it should win — 0.95x
@@ -1715,8 +1717,8 @@ fn main() {
             "{scale_dataset}: streamed build peak ({scale_streamed_peak:.0} bytes) not well below graph-then-compact ({scale_compact_peak:.0} bytes)"
         ));
     }
-    if smoke && (scale_publish_seq.is_nan() || scale_publish_sharded.is_nan()) {
-        failures.push(format!("{scale_dataset}: missing publish records"));
+    if smoke && scale_publish.is_nan() {
+        failures.push(format!("{scale_dataset}: missing publish record"));
     }
     // The smoke run also proves the exports off the instrumented service are
     // well-formed after real traffic: the JSON document parses and the

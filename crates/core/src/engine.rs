@@ -269,11 +269,11 @@ impl GpsBuilder {
     }
 
     /// Sets how many shards (worker threads) the frontier modes' label index
-    /// builds and patches fan out over.  Defaults to the mode's natural
-    /// width: [`EvalMode::Parallel`] uses the machine's available
-    /// parallelism, [`EvalMode::Frontier`] builds sequentially.  The index
-    /// is byte-identical at every shard count — this knob trades build/patch
-    /// latency against thread usage, never answers.  Ignored under
+    /// build fans out over.  Defaults to the mode's natural width:
+    /// [`EvalMode::Parallel`] uses the machine's available parallelism,
+    /// [`EvalMode::Frontier`] builds sequentially.  The index is
+    /// byte-identical at every shard count — this knob trades build latency
+    /// against thread usage, never answers.  Ignored under
     /// [`EvalMode::Naive`].
     pub fn index_shards(mut self, shards: usize) -> Self {
         self.index_shards = Some(shards.max(1));

@@ -522,8 +522,9 @@ impl GpsService {
     }
 
     /// Serves one full interactive session per goal query, fanning the
-    /// sessions out over `workers` scoped threads (clamped to `1..=goals`),
-    /// and returns the outcomes in input order.
+    /// sessions out over `workers` scoped threads (clamped to `1..=goals`;
+    /// a single worker runs on the calling thread), and returns the
+    /// outcomes in input order.
     ///
     /// Each worker pulls the next unserved goal off a shared cursor, opens a
     /// session for it, runs it to completion and closes it — so all `workers`
@@ -535,18 +536,25 @@ impl GpsService {
         let cursor = AtomicUsize::new(0);
         let slots: Vec<Mutex<Option<Result<SessionOutcome, GpsError>>>> =
             goals.iter().map(|_| Mutex::new(None)).collect();
-        std::thread::scope(|scope| {
-            for _ in 0..workers {
-                scope.spawn(|| loop {
-                    let next = cursor.fetch_add(1, Ordering::Relaxed);
-                    if next >= goals.len() {
-                        break;
-                    }
-                    let outcome = self.serve_one(&goals[next]);
-                    *slots[next].lock() = Some(outcome);
-                });
+        let work = || loop {
+            let next = cursor.fetch_add(1, Ordering::Relaxed);
+            if next >= goals.len() {
+                break;
             }
-        });
+            let outcome = self.serve_one(&goals[next]);
+            *slots[next].lock() = Some(outcome);
+        };
+        // One worker runs on the calling thread: a fresh thread would only
+        // add its spawn and a cold allocator arena to every session.
+        if workers == 1 {
+            work();
+        } else {
+            std::thread::scope(|scope| {
+                for _ in 0..workers {
+                    scope.spawn(work);
+                }
+            });
+        }
         slots
             .into_iter()
             .map(|slot| slot.into_inner().expect("every goal was served"))

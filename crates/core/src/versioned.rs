@@ -544,13 +544,11 @@ impl VersionedStore {
     ///
     /// The heavy work (delta application, compaction, index/stats/cache
     /// patching) happens outside any reader-visible lock; only the final
-    /// swap holds the epoch registry.  When the core's label index is
-    /// sharded ([`GpsBuilder::index_shards`](crate::GpsBuilder::index_shards)
-    /// or [`EvalMode::Parallel`](crate::EvalMode::Parallel)), the index
-    /// patch inside `advance` fans the touched (direction, label)
-    /// partitions out across scoped worker threads — publish latency on
-    /// wide-alphabet corpora drops accordingly, with byte-identical
-    /// results.  In-flight sessions keep their pinned
+    /// swap holds the epoch registry.  The work is proportional to the
+    /// delta plus memcpy-style copies: compaction splices the untouched node
+    /// runs of the previous snapshot and extends its shared node-name table,
+    /// and the index patch splices only the touched label partitions, on the
+    /// publishing thread.  In-flight sessions keep their pinned
     /// epoch; sessions opened after the swap see the new one.  On error (an
     /// op referencing a missing node or edge) nothing is published and the
     /// whole batch is discarded — publishes are all-or-nothing.

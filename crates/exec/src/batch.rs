@@ -77,8 +77,7 @@ impl BatchEvaluator {
     }
 
     /// [`from_csr`](Self::from_csr) with the index's per-(direction, label)
-    /// partitions built on up to `shards` scoped threads; the shard count
-    /// sticks, so delta patches fan out the same way.
+    /// partitions built on up to `shards` scoped threads.
     pub fn from_csr_sharded(csr: &CsrGraph, shards: usize) -> Self {
         Self::from_parts(
             LabelIndex::from_csr_sharded(csr, shards),
@@ -161,17 +160,6 @@ impl BatchEvaluator {
     /// [`ParallelSplit::WorkStealing`]).
     pub fn with_split(mut self, split: ParallelSplit) -> Self {
         self.split = split;
-        self
-    }
-
-    /// Sets the shard (worker-thread) count future
-    /// [`apply_delta`](Self::apply_delta) patches fan out over.  Cheap: the
-    /// partitions themselves are `Arc`-shared, only the handle vector is
-    /// cloned when the setting changes.
-    pub fn with_index_shards(mut self, shards: usize) -> Self {
-        if self.index.shards() != shards {
-            self.index = Arc::new(LabelIndex::clone(&self.index).with_shards(shards));
-        }
         self
     }
 
@@ -955,8 +943,6 @@ mod tests {
         for (dfa, want) in dfas.iter().zip(&expected) {
             assert_eq!(sharded.evaluate(dfa), *want);
         }
-        let re_knobbed = BatchEvaluator::from_csr(&csr).with_index_shards(3);
-        assert_eq!(re_knobbed.index().shards(), 3);
     }
 
     #[test]

@@ -11,62 +11,9 @@
 //! slice-and-bitset sweeps.
 
 use crate::bitset::FixedBitSet;
-use gps_graph::{CsrGraph, GraphBackend, GraphDelta, LabelId, LabelStat, LabelStats, NodeId};
-use std::collections::{BTreeSet, HashMap};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
-
-/// Runs `jobs` independent closures across at most `workers` scoped threads
-/// and returns the results in job order.
-///
-/// Work is distributed by an atomic cursor (work-stealing over indices), so
-/// a straggler job never idles the other workers.  With `workers <= 1` or a
-/// single job this is a plain sequential loop — no thread is ever spawned —
-/// which is what keeps the sharded index byte-identical *and*
-/// overhead-identical to the historical sequential build on one core.
-fn run_jobs<T, F>(workers: usize, jobs: usize, job: F) -> Vec<T>
-where
-    T: Send,
-    F: Fn(usize) -> T + Sync,
-{
-    let workers = workers.min(jobs);
-    if workers <= 1 {
-        return (0..jobs).map(&job).collect();
-    }
-    let cursor = AtomicUsize::new(0);
-    let per_worker: Vec<Vec<(usize, T)>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..workers)
-            .map(|_| {
-                scope.spawn(|| {
-                    let mut out = Vec::new();
-                    loop {
-                        let next = cursor.fetch_add(1, Ordering::Relaxed);
-                        if next >= jobs {
-                            break;
-                        }
-                        out.push((next, job(next)));
-                    }
-                    out
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|handle| handle.join().expect("index shard worker panicked"))
-            .collect()
-    });
-    let mut slots: Vec<Option<T>> = Vec::with_capacity(jobs);
-    slots.resize_with(jobs, || None);
-    for chunk in per_worker {
-        for (index, value) in chunk {
-            slots[index] = Some(value);
-        }
-    }
-    slots
-        .into_iter()
-        .map(|slot| slot.expect("every job index below the cursor bound ran"))
-        .collect()
-}
+use gps_graph::{CsrGraph, Edge, GraphBackend, GraphDelta, LabelId, LabelStat, LabelStats, NodeId};
+use std::collections::BTreeSet;
+use std::sync::{Arc, Mutex};
 
 /// Expansion direction through the index.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -90,37 +37,33 @@ struct Partition {
 }
 
 impl Partition {
-    /// Builds one label's partition from its `(from, to)` pairs.
-    fn build(node_count: usize, edges: &[(u32, u32)]) -> Self {
-        Self::build_chunked(node_count, &[edges])
+    /// Zeroed arrays for `edges` pairs over `node_count` nodes, ready for
+    /// [`fill`](Self::fill).
+    fn zeroed(node_count: usize, edges: usize) -> Self {
+        Self {
+            offsets: vec![0u32; node_count + 2],
+            neighbors: vec![0u32; edges],
+        }
     }
 
-    /// Builds one label's partition from its `(from, to)` pairs split across
-    /// consecutive chunks — byte-identical to [`build`](Self::build) over
-    /// the chunks' concatenation.
-    fn build_chunked(node_count: usize, chunks: &[&[(u32, u32)]]) -> Self {
-        let mut offsets = vec![0u32; node_count + 2];
-        // Count one slot ahead so the prefix sum leaves offsets[node] = start.
-        for chunk in chunks {
-            for &(from, _) in *chunk {
-                offsets[from as usize + 1] += 1;
-            }
+    /// Counting-sorts `edges` into the arrays of [`zeroed`](Self::zeroed);
+    /// each node keeps its pairs in order.
+    fn fill(&mut self, edges: &[(u32, u32)]) {
+        // Count two slots ahead: after the prefix sum `offsets[node + 1]` is
+        // the node's first slot, the fill's cursor.  The fill advances it to
+        // the node's end, leaving all but the last slot the offsets array.
+        for &(from, _) in edges {
+            self.offsets[from as usize + 2] += 1;
         }
-        for i in 1..offsets.len() {
-            offsets[i] += offsets[i - 1];
+        for i in 1..self.offsets.len() {
+            self.offsets[i] += self.offsets[i - 1];
         }
-        offsets.truncate(node_count + 1);
-        let total: usize = chunks.iter().map(|chunk| chunk.len()).sum();
-        let mut neighbors = vec![0u32; total];
-        let mut cursor = offsets.clone();
-        for chunk in chunks {
-            for &(from, to) in *chunk {
-                let slot = &mut cursor[from as usize];
-                neighbors[*slot as usize] = to;
-                *slot += 1;
-            }
+        for &(from, to) in edges {
+            let slot = &mut self.offsets[from as usize + 1];
+            self.neighbors[*slot as usize] = to;
+            *slot += 1;
         }
-        Self { offsets, neighbors }
+        self.offsets.pop();
     }
 
     /// An empty partition covering `node_count` nodes.
@@ -141,38 +84,67 @@ impl Partition {
         &self.neighbors[lo..hi]
     }
 
-    /// Rebuilds this partition with per-node removals and additions applied
-    /// (first-occurrence removal semantics, additions appended in order) —
-    /// identical to what a fresh build over the merged adjacency produces.
+    /// This partition with `removals` and `additions` applied — `(from, to)`
+    /// pairs, each list stably sorted by `from`: each removal takes the first
+    /// surviving occurrence, additions append in order.  Only the changed
+    /// "from" nodes are visited; the runs between them are copied wholesale
+    /// with their offsets shifted.
     fn patched(
         old: Option<&Partition>,
         node_count: usize,
-        removals: &HashMap<u32, Vec<u32>>,
-        additions: &HashMap<u32, Vec<u32>>,
+        mut removals: &[(u32, u32)],
+        mut additions: &[(u32, u32)],
     ) -> Self {
+        let (old_offsets, old_neighbors) = old.map_or((&[0u32][..], &[][..]), |p| {
+            (&p.offsets[..], &p.neighbors[..])
+        });
+        let covered = old_offsets.len() - 1;
         let mut offsets = Vec::with_capacity(node_count + 1);
-        let mut neighbors = Vec::new();
+        let mut neighbors = Vec::with_capacity(old_neighbors.len() + additions.len());
         offsets.push(0u32);
-        for node in 0..node_count {
-            let base = old.map(|p| p.neighbors_of(node)).unwrap_or(&[]);
-            match removals.get(&(node as u32)) {
-                Some(removed) => {
-                    let mut pending = removed.clone();
-                    for &to in base {
-                        if let Some(pos) = pending.iter().position(|&r| r == to) {
-                            pending.swap_remove(pos);
-                        } else {
-                            neighbors.push(to);
-                        }
-                    }
+        // Appends nodes `from..to` unchanged (nodes past the old coverage
+        // have no neighbors).
+        let copy_run =
+            |offsets: &mut Vec<u32>, neighbors: &mut Vec<u32>, from: usize, to: usize| {
+                let stop = to.min(covered);
+                if from < stop {
+                    let (lo, hi) = (old_offsets[from], old_offsets[stop]);
+                    let at = neighbors.len() as u32;
+                    offsets.extend(old_offsets[from + 1..=stop].iter().map(|&o| o - lo + at));
+                    neighbors.extend_from_slice(&old_neighbors[lo as usize..hi as usize]);
                 }
-                None => neighbors.extend_from_slice(base),
-            }
-            if let Some(added) = additions.get(&(node as u32)) {
-                neighbors.extend_from_slice(added);
-            }
-            offsets.push(neighbors.len() as u32);
+                offsets.resize(to + 1, neighbors.len() as u32);
+            };
+        // Splits `node`'s pairs off the front of `pairs`.
+        fn take<'a>(pairs: &mut &'a [(u32, u32)], node: u32) -> &'a [(u32, u32)] {
+            let (own, rest) = pairs.split_at(pairs.partition_point(|&(from, _)| from == node));
+            *pairs = rest;
+            own
         }
+        let mut next = 0;
+        while let Some(node) = [removals.first(), additions.first()]
+            .into_iter()
+            .flatten()
+            .map(|&(from, _)| from)
+            .min()
+        {
+            let (removed, added) = (take(&mut removals, node), take(&mut additions, node));
+            let node = node as usize;
+            copy_run(&mut offsets, &mut neighbors, next, node);
+            let base = old.map_or(&[][..], |p| p.neighbors_of(node));
+            let mut pending: Vec<u32> = removed.iter().map(|&(_, to)| to).collect();
+            for &to in base {
+                if let Some(pos) = pending.iter().position(|&r| r == to) {
+                    pending.swap_remove(pos);
+                } else {
+                    neighbors.push(to);
+                }
+            }
+            neighbors.extend(added.iter().map(|&(_, to)| to));
+            offsets.push(neighbors.len() as u32);
+            next = node + 1;
+        }
+        copy_run(&mut offsets, &mut neighbors, next, node_count);
         Self { offsets, neighbors }
     }
 
@@ -215,15 +187,16 @@ impl DirIndex {
 /// only the label partitions an update touches and `Arc`-shares the rest
 /// with the previous epoch's index.
 ///
-/// The per-(direction, label) partitions are independent, so both the fresh
-/// build and the delta patch can fan out across **shards**: with
-/// [`from_csr_sharded`](Self::from_csr_sharded) or
-/// [`with_shards`](Self::with_shards) set to `n > 1`, up to `n` scoped
-/// threads pull partition jobs off an atomic cursor.  The result is
+/// The per-(direction, label) partitions are independent, so the fresh
+/// build can fan out across **shards**: with
+/// [`from_csr_sharded`](Self::from_csr_sharded) set to `n > 1`, up to `n`
+/// scoped threads fill partitions off a shared queue.  The result is
 /// byte-identical to the sequential build regardless of shard count —
 /// every partition's content depends only on its own label's edges, never
 /// on scheduling (the differential suites assert exact equality across
-/// shard counts).  `shards <= 1` takes the literal sequential code path.
+/// shard counts).  `shards <= 1` spawns no thread.  The delta patch is
+/// sequential: it copies the touched partitions in a few memcpy-sized runs,
+/// which a second thread did not measurably speed up.
 #[derive(Debug, Clone, Default)]
 pub struct LabelIndex {
     node_count: usize,
@@ -231,22 +204,26 @@ pub struct LabelIndex {
     fwd: DirIndex,
     rev: DirIndex,
     label_edge_counts: Vec<usize>,
-    /// Build/patch parallelism: number of worker threads partition jobs fan
-    /// out over (0 and 1 both mean sequential).  Inherited by indexes
-    /// derived via [`apply_delta`](Self::apply_delta).
+    /// Build parallelism: number of worker threads partition jobs fan out
+    /// over (0 and 1 both mean sequential).  Inherited by indexes derived
+    /// via [`apply_delta`](Self::apply_delta), so it keeps describing the
+    /// configuration the index came from.
     shards: usize,
 }
 
 impl LabelIndex {
     /// Builds the index from any backend by one pass over the edge set.
     pub fn from_backend<B: GraphBackend>(graph: &B) -> Self {
-        let mut edges = Vec::with_capacity(graph.edge_count());
+        let mut fwd = vec![Vec::new(); graph.label_count()];
+        let mut rev = vec![Vec::new(); graph.label_count()];
         for node in graph.nodes() {
+            let from = node.index() as u32;
             for (label, target) in graph.successors(node) {
-                edges.push((label.raw(), node.index() as u32, target.raw()));
+                fwd[label.index()].push((from, target.raw()));
+                rev[label.index()].push((target.raw(), from));
             }
         }
-        Self::from_edges(graph.node_count(), graph.label_count(), edges, 1)
+        Self::from_buckets(graph.node_count(), fwd, rev, 1)
     }
 
     /// Builds the index from a CSR snapshot via its raw packed arrays (no
@@ -257,128 +234,73 @@ impl LabelIndex {
 
     /// Like [`from_csr`](Self::from_csr), but builds the per-(direction,
     /// label) partitions on up to `shards` scoped threads and remembers the
-    /// shard count for [`apply_delta`](Self::apply_delta).  Byte-identical
-    /// to the sequential build for every `shards` value.
+    /// shard count.  Byte-identical to the sequential build for every
+    /// `shards` value.
     pub fn from_csr_sharded(csr: &CsrGraph, shards: usize) -> Self {
-        let node_count = csr.node_count();
         let label_count = csr.label_count();
-        let offsets = csr.fwd_offsets();
-        let entries = csr.fwd_entries();
-        // Every worker buckets a *fixed* contiguous node range straight off
-        // the packed CSR arrays (no intermediate edge vector).  Range
-        // boundaries depend only on the shard count, and concatenating the
-        // per-range buckets in range order reproduces exactly what a single
-        // pass over the whole snapshot produces — so the build stays
-        // byte-identical at every shard count.
-        struct BucketChunk {
-            fwd: Vec<Vec<(u32, u32)>>,
-            rev: Vec<Vec<(u32, u32)>>,
-        }
-        let workers = shards.max(1).min(node_count.max(1));
-        let per_worker = node_count.div_ceil(workers.max(1)).max(1);
-        let chunks: Vec<BucketChunk> = run_jobs(workers, workers, |w| {
-            let lo = (w * per_worker).min(node_count);
-            let hi = ((w + 1) * per_worker).min(node_count);
-            let mut fwd: Vec<Vec<(u32, u32)>> = vec![Vec::new(); label_count];
-            let mut rev: Vec<Vec<(u32, u32)>> = vec![Vec::new(); label_count];
-            for node in lo..hi {
-                let span = offsets[node] as usize..offsets[node + 1] as usize;
-                for entry in &entries[span] {
-                    fwd[entry.label.index()].push((node as u32, entry.node.raw()));
-                    rev[entry.label.index()].push((entry.node.raw(), node as u32));
-                }
-            }
-            BucketChunk { fwd, rev }
-        });
-        let mut label_edge_counts = vec![0usize; label_count];
-        for chunk in &chunks {
-            for (label, bucket) in chunk.fwd.iter().enumerate() {
-                label_edge_counts[label] += bucket.len();
+        let (offsets, entries) = (csr.fwd_offsets(), csr.fwd_entries());
+        let mut fwd = vec![Vec::new(); label_count];
+        let mut rev = vec![Vec::new(); label_count];
+        for node in 0..csr.node_count() {
+            let span = offsets[node] as usize..offsets[node + 1] as usize;
+            for entry in &entries[span] {
+                fwd[entry.label.index()].push((node as u32, entry.node.raw()));
+                rev[entry.label.index()].push((entry.node.raw(), node as u32));
             }
         }
-        // One job per (direction, label) partition: jobs [0, label_count)
-        // build forward, [label_count, 2*label_count) build reverse.
-        let mut parts = run_jobs(shards.max(1), label_count * 2, |job| {
-            let slices: Vec<&[(u32, u32)]> = chunks
-                .iter()
-                .map(|chunk| {
-                    if job < label_count {
-                        chunk.fwd[job].as_slice()
-                    } else {
-                        chunk.rev[job - label_count].as_slice()
-                    }
-                })
-                .collect();
-            Arc::new(Partition::build_chunked(node_count, &slices))
+        Self::from_buckets(csr.node_count(), fwd, rev, shards)
+    }
+
+    /// Builds every (direction, label) partition from its bucket of
+    /// `(from, to)` pairs (in forward-adjacency scan order), on up to
+    /// `shards` threads pulling partitions off a shared queue.  The arrays
+    /// are allocated up front on the calling thread and the workers only fill
+    /// them: a partition's content depends only on its own bucket, so the
+    /// index is byte-identical at every shard count.
+    fn from_buckets(
+        node_count: usize,
+        fwd: Vec<Vec<(u32, u32)>>,
+        rev: Vec<Vec<(u32, u32)>>,
+        shards: usize,
+    ) -> Self {
+        let label_count = fwd.len();
+        let buckets: Vec<&[(u32, u32)]> = fwd.iter().chain(&rev).map(Vec::as_slice).collect();
+        let mut parts: Vec<Partition> = buckets
+            .iter()
+            .map(|bucket| Partition::zeroed(node_count, bucket.len()))
+            .collect();
+        let jobs = Mutex::new(parts.iter_mut().zip(&buckets));
+        let work = || loop {
+            let next = jobs
+                .lock()
+                .expect("no builder panics holding the queue")
+                .next();
+            match next {
+                Some((part, bucket)) => part.fill(bucket),
+                None => break,
+            }
+        };
+        std::thread::scope(|scope| {
+            for _ in 1..shards.min(buckets.len()) {
+                scope.spawn(work);
+            }
+            work();
         });
+        let mut parts: Vec<Arc<Partition>> = parts.into_iter().map(Arc::new).collect();
         let rev_parts = parts.split_off(label_count);
         Self {
             node_count,
             label_count,
             fwd: DirIndex { parts },
             rev: DirIndex { parts: rev_parts },
-            label_edge_counts,
+            label_edge_counts: fwd.iter().map(Vec::len).collect(),
             shards,
         }
-    }
-
-    /// Returns this index with its shard (worker) count set; subsequent
-    /// [`apply_delta`](Self::apply_delta) calls patch touched labels on up
-    /// to that many threads.  Does not re-partition anything.
-    pub fn with_shards(mut self, shards: usize) -> Self {
-        self.shards = shards;
-        self
     }
 
     /// The configured shard (worker) count; `0`/`1` mean sequential.
     pub fn shards(&self) -> usize {
         self.shards
-    }
-
-    #[inline]
-    fn effective_shards(&self) -> usize {
-        self.shards.max(1)
-    }
-
-    fn from_edges(
-        node_count: usize,
-        label_count: usize,
-        edges: Vec<(u32, u32, u32)>,
-        shards: usize,
-    ) -> Self {
-        let mut label_edge_counts = vec![0usize; label_count];
-        for &(label, _, _) in &edges {
-            label_edge_counts[label as usize] += 1;
-        }
-        // Bucket both directions per label in one pass over the edge stream;
-        // bucket order is edge-stream order, exactly what the historical
-        // build-then-reverse sequence produced.
-        let mut fwd_buckets: Vec<Vec<(u32, u32)>> = vec![Vec::new(); label_count];
-        let mut rev_buckets: Vec<Vec<(u32, u32)>> = vec![Vec::new(); label_count];
-        for &(label, from, to) in &edges {
-            fwd_buckets[label as usize].push((from, to));
-            rev_buckets[label as usize].push((to, from));
-        }
-        drop(edges);
-        // One job per (direction, label) partition: jobs [0, label_count)
-        // build forward, [label_count, 2*label_count) build reverse.
-        let mut parts = run_jobs(shards.max(1), label_count * 2, |job| {
-            let bucket = if job < label_count {
-                &fwd_buckets[job]
-            } else {
-                &rev_buckets[job - label_count]
-            };
-            Arc::new(Partition::build(node_count, bucket))
-        });
-        let rev_parts = parts.split_off(label_count);
-        Self {
-            node_count,
-            label_count,
-            fwd: DirIndex { parts },
-            rev: DirIndex { parts: rev_parts },
-            label_edge_counts,
-            shards,
-        }
     }
 
     /// Number of nodes in the indexed graph.
@@ -433,16 +355,15 @@ impl LabelIndex {
     /// arrays with this index (`Arc` clone, no copy).
     ///
     /// `node_count` / `label_count` are the merged graph's counts (take them
-    /// from the compacted snapshot).  The result is identical to
-    /// [`from_csr`](Self::from_csr) over that snapshot — the partition's
-    /// per-node neighbor order is (surviving base order, then insertion
-    /// order), exactly what a fresh build over the merged adjacency yields.
-    ///
-    /// When this index carries `shards > 1`, the touched labels' patch jobs
-    /// (one per direction × label) fan out over that many scoped threads;
-    /// each job only reads its own label's removal/addition buckets and old
-    /// partition, so the output is byte-identical regardless of shard count.
-    /// The returned index inherits the shard setting.
+    /// from the compacted snapshot).  Each node's neighbors come out in
+    /// (surviving base order, then insertion order).  Forward partitions are
+    /// therefore identical to [`from_csr`](Self::from_csr) over that
+    /// snapshot; a reverse partition holds the same neighbors, but a fresh
+    /// build orders them by source node while the patch appends insertions
+    /// in delta order.  Evaluation reads partitions as sets, so answers agree.
+    /// Each touched partition is spliced (see `Partition::patched`): only
+    /// the nodes the delta changes are visited.  The returned index inherits
+    /// the shard setting.
     pub fn apply_delta(
         &self,
         delta: &GraphDelta,
@@ -450,85 +371,45 @@ impl LabelIndex {
         label_count: usize,
     ) -> LabelIndex {
         let touched = delta.touched_labels();
-        // Per touched label and direction: removals and additions bucketed by
-        // the partition's "from" endpoint (source forward, target reverse).
-        let mut fwd_removals: HashMap<u32, HashMap<u32, Vec<u32>>> = HashMap::new();
-        let mut rev_removals: HashMap<u32, HashMap<u32, Vec<u32>>> = HashMap::new();
-        let mut fwd_additions: HashMap<u32, HashMap<u32, Vec<u32>>> = HashMap::new();
-        let mut rev_additions: HashMap<u32, HashMap<u32, Vec<u32>>> = HashMap::new();
-        for edge in &delta.removed_edges {
-            fwd_removals
-                .entry(edge.label.raw())
-                .or_default()
-                .entry(edge.source.raw())
-                .or_default()
-                .push(edge.target.raw());
-            rev_removals
-                .entry(edge.label.raw())
-                .or_default()
-                .entry(edge.target.raw())
-                .or_default()
-                .push(edge.source.raw());
-        }
-        for edge in &delta.added_edges {
-            fwd_additions
-                .entry(edge.label.raw())
-                .or_default()
-                .entry(edge.source.raw())
-                .or_default()
-                .push(edge.target.raw());
-            rev_additions
-                .entry(edge.label.raw())
-                .or_default()
-                .entry(edge.target.raw())
-                .or_default()
-                .push(edge.source.raw());
-        }
-
-        let empty = HashMap::new();
-        // Patch the touched labels first — one job per label (each job
-        // rebuilds both directions), fanned over the configured shards.
-        // Each job reads only its own label's buckets and old partitions.
-        let patch_labels: Vec<usize> = (0..label_count)
-            .filter(|&label| touched.contains(&LabelId::from(label)))
-            .collect();
-        let patched_pairs: Vec<(Partition, Partition)> =
-            run_jobs(self.effective_shards(), patch_labels.len(), |job| {
-                let label = patch_labels[job];
-                let known = label < self.label_count;
-                let old_fwd = known.then(|| self.fwd.parts[label].as_ref());
-                let old_rev = known.then(|| self.rev.parts[label].as_ref());
-                let raw = label as u32;
-                let fwd = Partition::patched(
-                    old_fwd,
-                    node_count,
-                    fwd_removals.get(&raw).unwrap_or(&empty),
-                    fwd_additions.get(&raw).unwrap_or(&empty),
-                );
-                let rev = Partition::patched(
-                    old_rev,
-                    node_count,
-                    rev_removals.get(&raw).unwrap_or(&empty),
-                    rev_additions.get(&raw).unwrap_or(&empty),
-                );
-                (fwd, rev)
-            });
-        let mut patched_by_label: Vec<Option<(Partition, Partition)>> =
-            Vec::with_capacity(label_count);
-        patched_by_label.resize_with(label_count, || None);
-        for (&label, pair) in patch_labels.iter().zip(patched_pairs) {
-            patched_by_label[label] = Some(pair);
-        }
+        // One touched label's changes in one direction as `(from, to)` pairs
+        // keyed by the partition's "from" endpoint (source forward, target
+        // reverse), stably sorted so each node keeps its insertion order.
+        let changes = |edges: &[Edge], label: usize, reverse: bool| -> Vec<(u32, u32)> {
+            let mut pairs: Vec<(u32, u32)> = edges
+                .iter()
+                .filter(|e| e.label.index() == label)
+                .map(|e| {
+                    let (from, to) = if reverse {
+                        (e.target, e.source)
+                    } else {
+                        (e.source, e.target)
+                    };
+                    (from.raw(), to.raw())
+                })
+                .collect();
+            pairs.sort_by_key(|&(from, _)| from);
+            pairs
+        };
 
         let mut fwd_parts = Vec::with_capacity(label_count);
         let mut rev_parts = Vec::with_capacity(label_count);
         let mut label_edge_counts = vec![0usize; label_count];
         for (label, slot) in label_edge_counts.iter_mut().enumerate() {
-            if let Some((fwd, rev)) = patched_by_label[label].take() {
+            let known = label < self.label_count;
+            if touched.contains(&LabelId::from(label)) {
+                let patch = |old: &DirIndex, reverse: bool| {
+                    Arc::new(Partition::patched(
+                        known.then(|| old.parts[label].as_ref()),
+                        node_count,
+                        &changes(&delta.removed_edges, label, reverse),
+                        &changes(&delta.added_edges, label, reverse),
+                    ))
+                };
+                let fwd = patch(&self.fwd, false);
                 *slot = fwd.neighbors.len();
-                fwd_parts.push(Arc::new(fwd));
-                rev_parts.push(Arc::new(rev));
-            } else if label < self.label_count {
+                fwd_parts.push(fwd);
+                rev_parts.push(patch(&self.rev, true));
+            } else if known {
                 fwd_parts.push(Arc::clone(&self.fwd.parts[label]));
                 rev_parts.push(Arc::clone(&self.rev.parts[label]));
                 *slot = self.label_edge_counts[label];

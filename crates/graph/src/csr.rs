@@ -10,7 +10,9 @@
 //! snapshot.
 //!
 //! The snapshot carries the node names and the label interner of its source
-//! so rendering and query parsing work against it; the original edge
+//! so rendering and query parsing work against it (the name table is
+//! `Arc`-shared with the snapshot's successor epochs, see
+//! [`crate::names`]); the original edge
 //! identifiers are preserved per adjacency entry so neighborhood extraction
 //! and zoom deltas agree exactly with the mutable [`Graph`] backend.
 
@@ -18,7 +20,7 @@ use crate::backend::GraphBackend;
 use crate::graph::{Edge, Graph};
 use crate::ids::{EdgeId, LabelId, NodeId};
 use crate::labels::LabelInterner;
-use std::collections::BTreeMap;
+use crate::names::NodeNames;
 
 /// One packed adjacency entry: the label of an edge and its other endpoint.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -32,8 +34,7 @@ pub struct CsrEntry {
 /// An immutable CSR snapshot with both forward and reverse adjacency.
 #[derive(Debug, Clone, Default)]
 pub struct CsrGraph {
-    node_names: Vec<String>,
-    name_index: BTreeMap<String, NodeId>,
+    names: NodeNames,
     labels: LabelInterner,
     fwd_offsets: Vec<u32>,
     fwd_entries: Vec<CsrEntry>,
@@ -62,14 +63,12 @@ impl CsrGraph {
         let n = backend.node_count();
         let m = backend.edge_count();
 
-        let node_names: Vec<String> = backend
-            .nodes()
-            .map(|node| backend.node_name(node).to_string())
-            .collect();
-        let mut name_index = BTreeMap::new();
-        for (i, name) in node_names.iter().enumerate() {
-            name_index.entry(name.clone()).or_insert(NodeId::from(i));
-        }
+        let names = NodeNames::new(
+            backend
+                .nodes()
+                .map(|node| backend.node_name(node).to_string())
+                .collect(),
+        );
 
         let mut fwd_offsets = Vec::with_capacity(n + 1);
         let mut fwd_entries = Vec::with_capacity(m);
@@ -102,8 +101,7 @@ impl CsrGraph {
         }
 
         Self {
-            node_names,
-            name_index,
+            names,
             labels: backend.labels().clone(),
             fwd_offsets,
             fwd_entries,
@@ -121,8 +119,7 @@ impl CsrGraph {
     /// produced for the merged graph.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn from_parts(
-        node_names: Vec<String>,
-        name_index: BTreeMap<String, NodeId>,
+        names: NodeNames,
         labels: LabelInterner,
         fwd_offsets: Vec<u32>,
         fwd_entries: Vec<CsrEntry>,
@@ -133,8 +130,7 @@ impl CsrGraph {
         epoch: u64,
     ) -> Self {
         Self {
-            node_names,
-            name_index,
+            names,
             labels,
             fwd_offsets,
             fwd_entries,
@@ -160,7 +156,7 @@ impl CsrGraph {
 
     /// Number of nodes in the snapshot.
     pub fn node_count(&self) -> usize {
-        self.node_names.len()
+        self.names.len()
     }
 
     /// Number of edges in the snapshot.
@@ -183,12 +179,12 @@ impl CsrGraph {
     /// # Panics
     /// Panics if `node` does not belong to this snapshot.
     pub fn node_name(&self, node: NodeId) -> &str {
-        &self.node_names[node.index()]
+        self.names.name(node)
     }
 
     /// Looks up the first node bearing `name`.
     pub fn node_by_name(&self, name: &str) -> Option<NodeId> {
-        self.name_index.get(name).copied()
+        self.names.get(name)
     }
 
     /// Iterates over all node identifiers.
@@ -287,13 +283,8 @@ impl CsrGraph {
         rev_edge_ids: Vec<EdgeId>,
         epoch: u64,
     ) -> Self {
-        let mut name_index = BTreeMap::new();
-        for (i, name) in node_names.iter().enumerate() {
-            name_index.entry(name.clone()).or_insert(NodeId::from(i));
-        }
         Self {
-            node_names,
-            name_index,
+            names: NodeNames::new(node_names),
             labels,
             fwd_offsets,
             fwd_entries,
@@ -305,12 +296,11 @@ impl CsrGraph {
         }
     }
 
-    /// The first-bearer name → id map (what [`node_by_name`](Self::node_by_name)
-    /// consults) — cloned wholesale by the delta overlay instead of being
-    /// rebuilt per publish.
+    /// The node-name table, shared with the delta overlay and extended (not
+    /// copied) by [`crate::delta::DeltaGraph::compact`].
     #[inline]
-    pub(crate) fn name_index(&self) -> &BTreeMap<String, NodeId> {
-        &self.name_index
+    pub(crate) fn names(&self) -> &NodeNames {
+        &self.names
     }
 
     /// Original edge ids of `node`'s outgoing entries (aligned with

@@ -5,11 +5,13 @@
 //! edge insertion.  [`DeltaGraph`] layers a small mutable overlay — inserted
 //! nodes, inserted edges, and tombstones for deleted edges — over a shared
 //! `Arc<CsrGraph>` base, and implements [`GraphBackend`] so the staged state
-//! is queryable before it is published.  [`DeltaGraph::compact`] merges the
-//! overlay into a fresh snapshot in one pass over the packed arrays — no
-//! intermediate adjacency-list graph — producing byte-for-byte the snapshot a
-//! from-scratch [`Graph`] → [`CsrGraph`] build of the surviving edges would
-//! have produced, stamped with the next [`epoch`](CsrGraph::epoch).
+//! is queryable before it is published.  [`DeltaGraph::compact`] splices the
+//! overlay into a fresh snapshot: runs of untouched nodes are copied from the
+//! base's packed arrays wholesale, only the nodes the overlay changed are
+//! rebuilt, and the node-name table is extended rather than copied.  The
+//! result is byte-for-byte the snapshot a from-scratch [`Graph`] →
+//! [`CsrGraph`] build of the surviving edges would have produced, stamped
+//! with the next [`epoch`](CsrGraph::epoch).
 //!
 //! The overlay is the unit writers stage: a service accumulates
 //! [`UpdateOp`]s into a `DeltaGraph` and publishes the compacted snapshot,
@@ -145,7 +147,9 @@ pub struct DeltaGraph {
     base: Arc<CsrGraph>,
     labels: LabelInterner,
     added_names: Vec<String>,
-    name_index: BTreeMap<String, NodeId>,
+    /// First bearer of each added name; the base's own names resolve
+    /// through the base (which takes precedence), never through a copy.
+    added_index: BTreeMap<String, NodeId>,
     added_edges: Vec<Edge>,
     /// `false` for overlay edges deleted before publication.
     added_alive: Vec<bool>,
@@ -162,9 +166,9 @@ impl DeltaGraph {
     pub fn new(base: Arc<CsrGraph>) -> Self {
         Self {
             labels: base.labels().clone(),
-            name_index: base.name_index().clone(),
             base,
             added_names: Vec::new(),
+            added_index: BTreeMap::new(),
             added_edges: Vec::new(),
             added_alive: Vec::new(),
             added_out: BTreeMap::new(),
@@ -209,7 +213,7 @@ impl DeltaGraph {
     pub fn add_node(&mut self, name: impl Into<String>) -> NodeId {
         let id = NodeId::from(self.base.node_count() + self.added_names.len());
         let name = name.into();
-        self.name_index.entry(name.clone()).or_insert(id);
+        self.added_index.entry(name.clone()).or_insert(id);
         self.added_names.push(name);
         id
     }
@@ -308,9 +312,7 @@ impl DeltaGraph {
     }
 
     fn resolve(&self, name: &str) -> Result<NodeId, UpdateError> {
-        self.name_index
-            .get(name)
-            .copied()
+        self.node_by_name(name)
             .ok_or_else(|| UpdateError::UnknownNode(name.to_string()))
     }
 
@@ -332,104 +334,135 @@ impl DeltaGraph {
 
     /// Merges the overlay into a fresh snapshot stamped `base.epoch() + 1`.
     ///
-    /// One pass over the packed arrays per direction; the result is
-    /// byte-identical to snapshotting a from-scratch [`Graph`] holding the
-    /// surviving edges (base edges in base order, then overlay insertions) —
-    /// `tests/mvcc_conformance.rs` proves this over random update sequences.
+    /// The result is byte-identical to snapshotting a from-scratch [`Graph`]
+    /// holding the surviving edges (base edges in base order, then overlay
+    /// insertions) — `tests/mvcc_conformance.rs` proves this over random
+    /// update sequences.  The work is a memcpy-style splice: per direction,
+    /// the runs of nodes between the sorted changed nodes are copied with one
+    /// `extend_from_slice` each, and only the changed nodes are rebuilt.
     pub fn compact(&self) -> CsrGraph {
         let base = self.base.as_ref();
-        let base_n = base.node_count();
-        let n = self.node_count();
 
-        // Dense renumbering: surviving base edges in base-id order, then
-        // surviving overlay edges in insertion order.
+        // Dense renumbering: surviving base edges in base-id order, filled
+        // range by range between the sorted tombstone ids (u32::MAX marks a
+        // deleted edge), then surviving overlay edges in insertion order.
+        let mut renumber: Vec<u32> = Vec::with_capacity(base.edge_count() + 1);
         let mut next = 0u32;
-        let mut base_id_map = vec![u32::MAX; base.edge_count()];
-        for (old, slot) in base_id_map.iter_mut().enumerate() {
-            if !self.tombstones.contains_key(&EdgeId::from(old)) {
-                *slot = next;
-                next += 1;
-            }
+        let deleted = self.tombstones.keys().map(|id| id.index());
+        for dead in deleted.chain([base.edge_count()]) {
+            let survivors = (dead - renumber.len()) as u32;
+            renumber.extend(next..next + survivors);
+            renumber.push(u32::MAX);
+            next += survivors;
         }
-        let mut overlay_id_map = vec![u32::MAX; self.added_edges.len()];
-        for (i, slot) in overlay_id_map.iter_mut().enumerate() {
-            if self.added_alive[i] {
-                *slot = next;
-                next += 1;
-            }
-        }
-        let total_edges = next as usize;
-
-        let mut node_names = Vec::with_capacity(n);
-        node_names.extend(base.nodes().map(|node| base.node_name(node).to_string()));
-        node_names.extend(self.added_names.iter().cloned());
-
-        let mut fwd_offsets = Vec::with_capacity(n + 1);
-        let mut fwd_entries = Vec::with_capacity(total_edges);
-        let mut fwd_edge_ids = Vec::with_capacity(total_edges);
-        let mut rev_offsets = Vec::with_capacity(n + 1);
-        let mut rev_entries = Vec::with_capacity(total_edges);
-        let mut rev_edge_ids = Vec::with_capacity(total_edges);
-        fwd_offsets.push(0);
-        rev_offsets.push(0);
-        for index in 0..n {
-            let node = NodeId::from(index);
-            if index < base_n {
-                for (entry, &id) in base.out(node).iter().zip(base.out_ids(node)) {
-                    let new = base_id_map[id.index()];
-                    if new != u32::MAX {
-                        fwd_entries.push(*entry);
-                        fwd_edge_ids.push(EdgeId::new(new));
-                    }
-                }
-                for (entry, &id) in base.inc(node).iter().zip(base.inc_ids(node)) {
-                    let new = base_id_map[id.index()];
-                    if new != u32::MAX {
-                        rev_entries.push(*entry);
-                        rev_edge_ids.push(EdgeId::new(new));
-                    }
-                }
-            }
-            if let Some(indices) = self.added_out.get(&node) {
-                for &i in indices {
-                    if self.added_alive[i] {
-                        let edge = self.added_edges[i];
-                        fwd_entries.push(CsrEntry {
-                            label: edge.label,
-                            node: edge.target,
-                        });
-                        fwd_edge_ids.push(EdgeId::new(overlay_id_map[i]));
-                    }
-                }
-            }
-            if let Some(indices) = self.added_in.get(&node) {
-                for &i in indices {
-                    if self.added_alive[i] {
-                        let edge = self.added_edges[i];
-                        rev_entries.push(CsrEntry {
-                            label: edge.label,
-                            node: edge.source,
-                        });
-                        rev_edge_ids.push(EdgeId::new(overlay_id_map[i]));
-                    }
-                }
-            }
-            fwd_offsets.push(fwd_entries.len() as u32);
-            rev_offsets.push(rev_entries.len() as u32);
-        }
-
+        renumber.pop();
+        let overlay_ids: Vec<u32> = self
+            .added_alive
+            .iter()
+            .map(|&alive| {
+                let id = next;
+                next += alive as u32;
+                id
+            })
+            .collect();
+        let fwd = self.splice(false, &renumber, &overlay_ids);
+        let rev = self.splice(true, &renumber, &overlay_ids);
         CsrGraph::from_parts(
-            node_names,
-            self.name_index.clone(),
+            base.names().extended(&self.added_names),
             self.labels.clone(),
-            fwd_offsets,
-            fwd_entries,
-            fwd_edge_ids,
-            rev_offsets,
-            rev_entries,
-            rev_edge_ids,
+            fwd.offsets,
+            fwd.entries,
+            fwd.ids,
+            rev.offsets,
+            rev.entries,
+            rev.ids,
             base.epoch() + 1,
         )
+    }
+
+    /// One direction of [`compact`](Self::compact): sorts the nodes the
+    /// overlay changed, copies the base's runs of nodes between them
+    /// wholesale (offsets shifted, edge ids renumbered) and rebuilds each
+    /// changed node from its surviving base entries plus its live overlay
+    /// edges.
+    fn splice(&self, reverse: bool, renumber: &[u32], overlay_ids: &[u32]) -> Packed {
+        let base = self.base.as_ref();
+        let (base_offsets, base_entries, base_ids, overlay) = if reverse {
+            let ids = base.rev_edge_ids();
+            (base.rev_offsets(), base.rev_entries(), ids, &self.added_in)
+        } else {
+            let ids = base.fwd_edge_ids();
+            (base.fwd_offsets(), base.fwd_entries(), ids, &self.added_out)
+        };
+        // An edge's endpoints as (the node whose adjacency holds it, the
+        // other endpoint).
+        let ends = |e: &Edge| {
+            if reverse {
+                (e.target, e.source)
+            } else {
+                (e.source, e.target)
+            }
+        };
+        let mut changed: Vec<NodeId> = overlay.keys().copied().collect();
+        changed.extend(self.tombstones.values().map(|e| ends(e).0));
+        changed.sort_unstable();
+        changed.dedup();
+
+        let base_n = base_offsets.len() - 1;
+        let n = self.node_count();
+        let mut out = Packed {
+            offsets: Vec::with_capacity(n + 1),
+            entries: Vec::with_capacity(self.edge_count()),
+            ids: Vec::with_capacity(self.edge_count()),
+        };
+        out.offsets.push(0);
+        // Appends nodes `from..to`, none of which the overlay changed.
+        let copy_run = |out: &mut Packed, from: usize, to: usize| {
+            let stop = to.min(base_n);
+            if from < stop {
+                let (lo, hi) = (base_offsets[from], base_offsets[stop]);
+                let at = out.entries.len() as u32;
+                let shifted = base_offsets[from + 1..=stop].iter().map(|&o| o - lo + at);
+                out.offsets.extend(shifted);
+                let span = lo as usize..hi as usize;
+                out.entries.extend_from_slice(&base_entries[span.clone()]);
+                let ids = base_ids[span]
+                    .iter()
+                    .map(|id| EdgeId::new(renumber[id.index()]));
+                out.ids.extend(ids);
+            }
+            // Nodes past the base: added, with no overlay edges here.
+            out.offsets.resize(to + 1, out.entries.len() as u32);
+        };
+        let mut next = 0;
+        for node in changed {
+            let index = node.index();
+            copy_run(&mut out, next, index);
+            if index < base_n {
+                let span = base_offsets[index] as usize..base_offsets[index + 1] as usize;
+                for (entry, id) in base_entries[span.clone()].iter().zip(&base_ids[span]) {
+                    let new = renumber[id.index()];
+                    if new != u32::MAX {
+                        out.entries.push(*entry);
+                        out.ids.push(EdgeId::new(new));
+                    }
+                }
+            }
+            for &i in Self::overlay_indices(overlay, node) {
+                if self.added_alive[i] {
+                    let edge = &self.added_edges[i];
+                    out.entries.push(CsrEntry {
+                        label: edge.label,
+                        node: ends(edge).1,
+                    });
+                    out.ids.push(EdgeId::new(overlay_ids[i]));
+                }
+            }
+            out.offsets.push(out.entries.len() as u32);
+            next = index + 1;
+        }
+        copy_run(&mut out, next, n);
+        out
     }
 
     fn base_out_parts(&self, node: NodeId) -> (&[CsrEntry], &[EdgeId]) {
@@ -454,6 +487,13 @@ impl DeltaGraph {
     ) -> std::slice::Iter<'_, usize> {
         map.get(&node).map(|v| v.iter()).unwrap_or([].iter())
     }
+}
+
+/// One direction's packed CSR arrays, as [`DeltaGraph::compact`] builds them.
+struct Packed {
+    offsets: Vec<u32>,
+    entries: Vec<CsrEntry>,
+    ids: Vec<EdgeId>,
 }
 
 /// Iterator over the surviving `(label, neighbor)` pairs of one node of a
@@ -558,7 +598,9 @@ impl GraphBackend for DeltaGraph {
     }
 
     fn node_by_name(&self, name: &str) -> Option<NodeId> {
-        self.name_index.get(name).copied()
+        self.base
+            .node_by_name(name)
+            .or_else(|| self.added_index.get(name).copied())
     }
 
     fn successors(&self, node: NodeId) -> DeltaNeighbors<'_> {

@@ -67,6 +67,7 @@ pub mod graph;
 pub mod ids;
 pub mod io;
 pub mod labels;
+mod names;
 pub mod neighborhood;
 pub mod paths;
 pub mod prefix_tree;

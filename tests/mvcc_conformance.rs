@@ -12,11 +12,15 @@
 //! 3. **New sessions observe the update.**  Sessions (and plain reads)
 //!    opened after a publish run on the new epoch and see the inserted
 //!    edges, across every [`EvalMode`].
+//! 4. **The node-name table is isolated.**  Epochs share their name table,
+//!    yet a failed batch, a sibling overlay or a crash and recovery never
+//!    changes the names any epoch sees.
 
 use gps_core::prelude::*;
 use gps_core::service::GpsService;
 use gps_core::versioned::{GraphUpdate, VersionedStore};
 use gps_datasets::figure1::{figure1_graph, MOTIVATING_QUERY};
+use gps_exec::{Direction, LabelIndex};
 use gps_graph::delta::UpdateOp;
 use gps_graph::DeltaGraph;
 use gps_interactive::session::InteractionRecord;
@@ -191,6 +195,182 @@ fn compacted_delta_graphs_equal_from_scratch_builds() {
             assert_eq!(compacted.epoch(), round + 1, "trial {trial}");
             snapshot = Arc::new(compacted);
         }
+    }
+}
+
+/// One overlay step of a splice edge case (node indices, label names).
+#[derive(Debug, Clone, Copy)]
+enum Step {
+    Node(&'static str),
+    Add(usize, &'static str, usize),
+    Remove(usize, &'static str, usize),
+}
+
+/// Six nodes `a0..a5`; edge ids in insertion order, so `a0 -x-> a1` is edge
+/// 0 (with a parallel duplicate, edge 1) and `a5 -x-> a1` the last edge.
+fn splice_base() -> Graph {
+    let mut g = Graph::new();
+    let a: Vec<NodeId> = (0..6).map(|i| g.add_node(format!("a{i}"))).collect();
+    for (s, label, t) in [
+        (0, "x", 1),
+        (0, "x", 1),
+        (1, "y", 2),
+        (1, "x", 3),
+        (1, "x", 4),
+        (3, "y", 0),
+        (4, "x", 5),
+        (5, "y", 0),
+        (5, "x", 1),
+    ] {
+        g.add_edge_by_name(a[s], label, a[t]);
+    }
+    g
+}
+
+/// Forward partitions must be identical.  Reverse partitions must hold the
+/// same neighbors: a fresh build orders them by source node, the patch
+/// appends insertions in delta order (evaluation reads them as sets).
+fn assert_indexes_equal(got: &LabelIndex, want: &LabelIndex, context: &str) {
+    assert_eq!(
+        got.node_count(),
+        want.node_count(),
+        "{context}: index nodes"
+    );
+    assert_eq!(got.label_count(), want.label_count(), "{context}: labels");
+    for label in (0..want.label_count()).map(LabelId::from) {
+        assert_eq!(
+            got.label_edge_count(label),
+            want.label_edge_count(label),
+            "{context}: edges of {label:?}"
+        );
+        for node in 0..want.node_count() {
+            assert_eq!(
+                got.neighbors(Direction::Forward, label, node),
+                want.neighbors(Direction::Forward, label, node),
+                "{context}: forward {label:?} of node {node}"
+            );
+            let sorted = |index: &LabelIndex| {
+                let mut sources = index.neighbors(Direction::Reverse, label, node).to_vec();
+                sources.sort_unstable();
+                sources
+            };
+            assert_eq!(
+                sorted(got),
+                sorted(want),
+                "{context}: reverse {label:?} of node {node}"
+            );
+        }
+    }
+}
+
+#[test]
+fn splice_edge_cases_match_from_scratch_builds() {
+    use Step::{Add, Node, Remove};
+    let cases: [(&str, Vec<Step>); 7] = [
+        (
+            "changes at node 0 and at the last node",
+            vec![
+                Add(0, "y", 5),
+                Remove(5, "x", 1),
+                Add(5, "x", 0),
+                Remove(3, "y", 0),
+            ],
+        ),
+        (
+            "edges on added nodes beyond the old coverage",
+            vec![
+                Node("b0"),
+                Node("b1"),
+                Node("b2"),
+                Add(7, "x", 8),
+                Add(8, "y", 0),
+                Add(2, "x", 8),
+                Add(8, "x", 8),
+            ],
+        ),
+        (
+            "a label first interned in this delta",
+            vec![Add(1, "w", 3), Add(3, "w", 1), Add(3, "w", 1)],
+        ),
+        (
+            "every edge of a node removed",
+            vec![
+                Remove(1, "y", 2),
+                Remove(1, "x", 3),
+                Remove(1, "x", 4),
+                Remove(0, "x", 1),
+                Remove(0, "x", 1),
+                Remove(5, "x", 1),
+            ],
+        ),
+        (
+            "parallel duplicates lose their first occurrences",
+            vec![
+                Add(0, "x", 1),
+                Add(0, "x", 1),
+                Remove(0, "x", 1),
+                Remove(0, "x", 1),
+                Remove(0, "x", 1),
+            ],
+        ),
+        (
+            "edges inserted and deleted inside one overlay",
+            vec![
+                Add(2, "z", 3),
+                Remove(2, "z", 3),
+                Add(4, "x", 2),
+                Remove(4, "x", 2),
+            ],
+        ),
+        (
+            "tombstones at the first and the last edge id",
+            vec![Remove(0, "x", 1), Remove(5, "x", 1)],
+        ),
+    ];
+    for (context, steps) in cases {
+        let base = splice_base();
+        let mut shadow = Shadow::from_graph(&base);
+        let snapshot = Arc::new(CsrGraph::from_graph(&base));
+        let mut delta = DeltaGraph::new(Arc::clone(&snapshot));
+        for step in steps {
+            match step {
+                Node(name) => {
+                    delta.add_node(name);
+                    shadow.nodes.push(name.to_string());
+                }
+                Add(s, name, t) => {
+                    let label = delta.label(name);
+                    if label.index() == shadow.labels.len() {
+                        shadow.labels.push(name.to_string());
+                    }
+                    delta.add_edge(NodeId::from(s), label, NodeId::from(t));
+                    shadow.edges.push((s, label.index(), t));
+                }
+                Remove(s, name, t) => {
+                    let label = delta.labels().get(name).expect("label exists");
+                    assert!(
+                        delta.remove_edge(NodeId::from(s), label, NodeId::from(t)),
+                        "{context}"
+                    );
+                    let first = shadow
+                        .edges
+                        .iter()
+                        .position(|&e| e == (s, label.index(), t))
+                        .expect("the shadow holds the removed edge");
+                    shadow.edges.remove(first);
+                }
+            }
+        }
+        let summary = delta.delta();
+        let compacted = delta.compact();
+        let expected = shadow.build();
+        assert_snapshots_identical(&compacted, &expected, context);
+        let patched = LabelIndex::from_csr(&snapshot).apply_delta(
+            &summary,
+            compacted.node_count(),
+            compacted.label_count(),
+        );
+        assert_indexes_equal(&patched, &LabelIndex::from_csr(&expected), context);
     }
 }
 
@@ -409,4 +589,154 @@ fn versioned_reads_and_writes_interleave_across_threads() {
     // A generated stream applies cleanly through the service update API too.
     live.update(GraphUpdate::from_ops(stream_ops)).unwrap();
     assert!(store.current_epoch() >= 7);
+}
+
+// ------------------------------------------------ 4. name table isolated
+
+/// A graph of 300 nodes (large enough that a publish adding a few nodes
+/// shares the base name table instead of folding it), with colliding names
+/// so first-bearer lookups are exercised.
+fn named_graph() -> Graph {
+    let mut g = Graph::new();
+    let nodes: Vec<NodeId> = (0..300)
+        .map(|i| g.add_node(format!("v{}", i % 280)))
+        .collect();
+    for i in 0..300 {
+        g.add_edge_by_name(nodes[i], "e", nodes[(i * 7 + 1) % 300]);
+    }
+    g
+}
+
+fn assert_same_names(got: &CsrGraph, want: &CsrGraph, context: &str) {
+    assert_eq!(got.node_count(), want.node_count(), "{context}");
+    for node in want.nodes() {
+        let name = want.node_name(node);
+        assert_eq!(got.node_name(node), name, "{context}: name of {node}");
+        assert_eq!(
+            got.node_by_name(name),
+            want.node_by_name(name),
+            "{context}: {name}"
+        );
+    }
+}
+
+#[test]
+fn a_failed_batch_leaves_no_name_behind() {
+    let store = VersionedStore::new(
+        Engine::builder(named_graph())
+            .eval_mode(EvalMode::Frontier)
+            .build_core(),
+    );
+    let before = store.latest();
+    let n = before.snapshot().node_count();
+    let failed = store.update(
+        GraphUpdate::new()
+            .add_node("ghost")
+            .add_edge("ghost", "e", "nowhere"),
+    );
+    assert!(failed.is_err(), "an edge to a missing node fails the batch");
+    assert_eq!(store.current_epoch(), before.epoch());
+    assert_eq!(store.latest().snapshot().node_by_name("ghost"), None);
+
+    store
+        .update(
+            GraphUpdate::new()
+                .add_node("ghost")
+                .add_node("v3")
+                .add_edge("v3", "e", "ghost"),
+        )
+        .unwrap();
+    let after = store.latest();
+    let ghost = NodeId::from(n);
+    assert_eq!(
+        after.snapshot().inc(ghost)[0].node,
+        NodeId::from(3usize),
+        "the batch's own ops resolve a re-used name to its first bearer"
+    );
+    assert_eq!(
+        after.snapshot().node_by_name("ghost"),
+        Some(NodeId::from(n)),
+        "a re-add gets the next dense id"
+    );
+    assert_eq!(after.snapshot().node_name(NodeId::from(n + 1)), "v3");
+    assert_eq!(
+        after.snapshot().node_by_name("v3"),
+        Some(NodeId::from(3usize)),
+        "a re-used name still resolves to its first bearer"
+    );
+    assert_eq!(before.snapshot().node_by_name("ghost"), None);
+    assert_eq!(before.snapshot().node_count(), n);
+}
+
+#[test]
+fn sibling_overlays_see_only_their_own_names() {
+    let base = Arc::new(CsrGraph::from_graph(&named_graph()));
+    let n = base.node_count();
+    let mut left = DeltaGraph::new(Arc::clone(&base));
+    let mut right = DeltaGraph::new(Arc::clone(&base));
+    left.add_node("left");
+    right.add_node("right");
+    right.add_node("left-of-right");
+    let (left, right) = (left.compact(), right.compact());
+    assert_eq!(left.node_by_name("left"), Some(NodeId::from(n)));
+    assert_eq!(left.node_by_name("right"), None);
+    assert_eq!(left.node_count(), n + 1);
+    assert_eq!(right.node_by_name("right"), Some(NodeId::from(n)));
+    assert_eq!(right.node_by_name("left"), None);
+    assert_eq!(right.node_name(NodeId::from(n + 1)), "left-of-right");
+    assert_eq!(base.node_by_name("left"), None);
+    assert_eq!(base.node_by_name("right"), None);
+    assert_eq!(base.node_count(), n);
+    // Each compaction equals a from-scratch build of its own graph.
+    for (snapshot, added) in [
+        (&left, &["left"][..]),
+        (&right, &["right", "left-of-right"][..]),
+    ] {
+        let mut g = named_graph();
+        for name in added {
+            g.add_node(*name);
+        }
+        assert_snapshots_identical(snapshot, &CsrGraph::from_graph(&g), added[0]);
+    }
+}
+
+#[test]
+fn recovered_names_equal_the_names_before_the_crash() {
+    let dir = std::env::temp_dir().join(format!("gps-mvcc-names-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let builder = || {
+        Engine::builder(named_graph())
+            .eval_mode(EvalMode::Frontier)
+            .checkpoint_every_n_publishes(3)
+    };
+    let (store, _) = VersionedStore::open_durable(&dir, builder()).unwrap();
+    for round in 0..5 {
+        // New names, a name re-used within the batch and a base name again.
+        store
+            .update(
+                GraphUpdate::new()
+                    .add_node(format!("r{round}"))
+                    .add_node(format!("r{round}"))
+                    .add_node("v7")
+                    .add_edge(format!("r{round}").as_str(), "e", "v0"),
+            )
+            .unwrap();
+    }
+    let before = store.latest();
+    drop(store); // crash: the last publishes live only in the log
+    let (recovered, report) = VersionedStore::open_durable(&dir, builder()).unwrap();
+    assert!(report.replayed_publishes > 0, "the WAL tail was replayed");
+    assert_eq!(recovered.current_epoch(), before.epoch());
+    assert_same_names(
+        recovered.latest().snapshot(),
+        before.snapshot(),
+        "recovered",
+    );
+    assert_eq!(
+        gps_store::encode_snapshot(recovered.latest().snapshot()),
+        gps_store::encode_snapshot(before.snapshot()),
+        "the recovered snapshot is byte-identical"
+    );
+    drop(recovered);
+    std::fs::remove_dir_all(&dir).unwrap();
 }
