@@ -15,8 +15,8 @@
 
 use crate::bitset::FixedBitSet;
 use crate::frontier::{
-    evaluate_captured, evaluate_counting, resume_counting, resume_with_removals, selects_from,
-    witness_from, FrontierPolicy, Scratch, DEFAULT_OVERDELETE_LIMIT,
+    self, evaluate_captured, evaluate_counting, selects_from, witness_from, FrontierPolicy,
+    Scratch, DEFAULT_OVERDELETE_LIMIT,
 };
 use crate::index::{Direction, LabelIndex};
 use crate::metrics::ExecMetrics;
@@ -554,24 +554,15 @@ impl DfaEvaluator for BatchEvaluator {
         delta: &GraphDelta,
     ) -> Option<(QueryAnswer, EvalResume)> {
         let mut scratch = self.scratch();
-        let (answer, rounds, next) = if delta.removed_edges.is_empty() {
-            resume_counting(&self.index, dfa, resume, delta, &mut scratch)?
-        } else if self.overdelete_limit <= 0.0 {
-            // The knob's floor is a kill switch: removals always recompute
-            // cold, even ones whose over-delete cone would be empty.
-            return None;
-        } else {
-            let (answer, rounds, overdeleted, next) = resume_with_removals(
-                &self.index,
-                dfa,
-                resume,
-                delta,
-                &mut scratch,
-                self.overdelete_limit,
-            )?;
-            self.metrics.support_overdeleted.add(overdeleted);
-            (answer, rounds, next)
-        };
+        let (answer, rounds, overdeleted, next) = frontier::resume(
+            &self.index,
+            dfa,
+            resume,
+            delta,
+            &mut scratch,
+            self.overdelete_limit,
+        )?;
+        self.metrics.support_overdeleted.add(overdeleted);
         // Counted as an evaluation (its rounds are the delta-restricted
         // sweeps); latency is attributed by the caller's reseed histogram,
         // not the cold-eval one.

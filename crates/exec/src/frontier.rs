@@ -28,10 +28,9 @@ use gps_rpq::{EvalResume, QueryAnswer};
 /// Default cap on the delete-aware reseed's over-deletion, as a fraction of
 /// the post-insert alive configuration population: when a removal's
 /// transitive over-delete cone grows past `limit × alive_total`
-/// configurations, [`resume_with_removals`] gives up (`None`) and the caller
-/// falls back to a cold recompute — at that point the cold fixed point is in
-/// the same cost class as over-delete *plus* re-derive, without the
-/// bookkeeping.
+/// configurations, [`resume`] gives up (`None`) and the caller falls back to
+/// a cold recompute — at that point the cold fixed point is in the same cost
+/// class as over-delete *plus* re-derive.
 pub const DEFAULT_OVERDELETE_LIMIT: f64 = 0.5;
 
 /// Node count at which [`FrontierPolicy::Auto`] switches the frontier/delta
@@ -240,7 +239,8 @@ pub fn evaluate_counting(
 }
 
 /// [`evaluate_counting`], additionally capturing the per-state alive sets as
-/// an [`EvalResume`] seed for later delta-restricted re-derivation.
+/// an [`EvalResume`] seed for later delta-restricted re-derivation; the
+/// answer shares the seed's start-state row.
 ///
 /// The seed is only sound when the fixed point actually completed, so when
 /// the start state saturates early (a query selecting every node) the
@@ -269,7 +269,7 @@ fn fixed_point(
     let n = index.node_count();
     let s = dfa.state_count();
     if n == 0 || s == 0 {
-        return (QueryAnswer::from_flags(vec![false; n]), 0, None);
+        return (QueryAnswer::none(n), 0, None);
     }
     scratch.prepare(s, n);
 
@@ -299,13 +299,13 @@ fn fixed_point(
 
     let start = dfa.start();
     let mut rounds = 0u64;
-    let complete = loop {
+    loop {
         // The answer only reads `alive[start]`; once every node is selected
         // no further round can change it.  This exit can leave *other*
         // states under-derived, so a capturing evaluation skips it and runs
         // on to the true fixed point — the seed must cover every state.
         if !capture && scratch.alive[start].count() == n {
-            break false;
+            break;
         }
         rounds += 1;
 
@@ -365,165 +365,88 @@ fn fixed_point(
         }
         if !progress {
             // No round mode can derive anything further: a true fixed point.
-            break true;
+            break;
         }
         std::mem::swap(&mut scratch.frontier, &mut scratch.next);
         for bits in &mut scratch.next {
             bits.clear();
         }
-    };
+    }
 
-    let selected = (0..n)
-        .map(|node| scratch.alive[start].contains(node))
-        .collect();
-    let resume = (capture && complete).then(|| {
-        EvalResume::new(
-            n,
-            scratch
-                .alive
-                .iter()
-                .map(|bits| bits.as_words().to_vec())
-                .collect(),
-            compute_supports(index, dfa, &scratch.alive, n),
-        )
-    });
-    (QueryAnswer::from_flags(selected), rounds, resume)
+    if capture {
+        let seed = capture_seed(n, scratch);
+        (seed.answer(start), rounds, Some(seed))
+    } else {
+        let answer = QueryAnswer::from_words(n, scratch.alive[start].as_words().into());
+        (answer, rounds, None)
+    }
 }
 
-/// Derivation counts of a *completed* fixed point: `supports[p][u]` is the
-/// number of `(DFA transition p --a--> q, graph edge u --a--> v)` pairs with
-/// `(v, q)` alive, saturated at 255.  A non-accepting configuration is alive
-/// iff its support is positive; accepting configurations are alive
-/// unconditionally (their support only counts their edge-derivations).
-///
-/// One full push-shaped sweep over the alive sets — the capture-time
-/// post-pass that seeds the delete-aware resume's bookkeeping.  Dead
-/// configurations naturally end at 0: a derivation from an alive target
-/// would have made them alive.
-fn compute_supports(
-    index: &LabelIndex,
-    dfa: &Dfa,
-    alive: &[FixedBitSet],
-    nodes: usize,
-) -> Vec<Vec<u8>> {
-    let mut supports = vec![vec![0u8; nodes]; alive.len()];
-    for (state, row) in supports.iter_mut().enumerate() {
-        for (label, target) in dfa.transitions_from(state) {
-            for v in alive[target].ones() {
-                for &u in index.neighbors(Direction::Reverse, label, v) {
-                    let slot = &mut row[u as usize];
-                    *slot = slot.saturating_add(1);
-                }
-            }
-        }
-    }
-    supports
-}
-
-/// Recomputes one configuration's support from scratch against the *current*
-/// alive sets over the patched index — the exact fallback when a saturated
-/// (255) counter must be decremented and the true count is unknown.
-fn recount_support(
-    index: &LabelIndex,
-    dfa: &Dfa,
-    alive: &[FixedBitSet],
-    state: usize,
-    node: usize,
-) -> u8 {
-    let mut count = 0u32;
-    for (label, target) in dfa.transitions_from(state) {
-        for &v in index.neighbors(Direction::Forward, label, node) {
-            if alive[target].contains(v as usize) {
-                count += 1;
-                if count >= u8::MAX as u32 {
-                    return u8::MAX;
-                }
-            }
-        }
-    }
-    count as u8
-}
-
-/// Resumes the product fixed point from a captured [`EvalResume`] after an
-/// **insert-only** [`GraphDelta`]: the old alive sets are restored, nodes
-/// added since the capture seed the accepting states, the added edges'
-/// direct derivations seed the frontier, and push rounds over the patched
-/// index expand only what the delta can newly derive.
-///
-/// The fixed point is monotone in the edge set, so converging from the old
-/// answer is exact for insertions; any removal invalidates the seed and the
-/// caller must fall back to a cold evaluation — signalled by `None`, as is a
-/// seed whose DFA shape does not match.
-pub fn resume_counting(
-    index: &LabelIndex,
-    dfa: &Dfa,
-    resume: &EvalResume,
-    delta: &GraphDelta,
-    scratch: &mut Scratch,
-) -> Option<(QueryAnswer, u64, EvalResume)> {
-    if !delta.removed_edges.is_empty() {
-        return None;
-    }
-    let mut supports = restore_seed(index.node_count(), dfa, resume, scratch)?;
-    let rounds = insert_sweep(index, dfa, resume, delta, scratch, &mut supports)?;
-    Some(pack_result(
-        index.node_count(),
-        dfa,
-        scratch,
-        supports,
-        rounds,
-    ))
-}
-
-/// Restores a captured seed into `scratch` (alive sets via `load_prefix`)
-/// and returns a working copy of its support counters extended to `n` nodes.
-/// `None` when the seed's shape does not match the DFA or the index.
-fn restore_seed(
-    n: usize,
-    dfa: &Dfa,
-    resume: &EvalResume,
-    scratch: &mut Scratch,
-) -> Option<Vec<Vec<u8>>> {
-    let s = dfa.state_count();
-    if n == 0 || s == 0 || resume.state_count() != s || resume.nodes() > n {
-        return None;
-    }
-    scratch.prepare(s, n);
-    for state in 0..s {
-        scratch.alive[state].load_prefix(resume.state_words(state));
-    }
-    Some(
-        (0..s)
-            .map(|state| {
-                let mut row = resume.state_supports(state).to_vec();
-                row.resize(n, 0);
-                row
-            })
+/// Packs `scratch`'s per-state alive sets as a seed over `n` nodes.
+fn capture_seed(n: usize, scratch: &Scratch) -> EvalResume {
+    EvalResume::new(
+        n,
+        scratch
+            .alive
+            .iter()
+            .map(|bits| bits.as_words().into())
             .collect(),
     )
 }
 
-/// The insert half of a resume: seeds added nodes and added edges into the
-/// restored fixed point and pushes to closure over the patched index, keeping
-/// `supports` exact along the way (every configuration that turns alive
-/// sweeps its reverse dependents exactly once, incrementing their counters;
-/// added edges whose target was alive *in the seed* are counted separately —
-/// those derivations are the only ones no newly-alive sweep can see).
+/// Resumes the product fixed point from a captured [`EvalResume`] across a
+/// [`GraphDelta`], over the patched `index` — DRed (delete and re-derive)
+/// in three phases, the last two only when the delta removes edges:
 ///
-/// Monotone, so after this sweep `supports[p][u]` counts `(u, p)`'s
-/// derivations over the patched edge set against the expanded alive sets —
-/// the invariant both the insert-only resume and the over-delete phase build
-/// on.  Returns the number of push rounds.
-fn insert_sweep(
+/// 1. **Insert.** The seed's alive sets are restored, nodes added since the
+///    capture seed the accepting states, the added edges' direct
+///    derivations seed the frontier, and push rounds expand only what the
+///    inserts newly derive.  The fixed point is monotone in the edge set, so
+///    for an insert-only delta this is already the new fixed point.
+/// 2. **Over-delete.** Every alive non-accepting configuration `(u, p)` that
+///    lost a derivation — a removed edge `u --a--> v` with `p --a--> q` and
+///    `(v, q)` alive in the seed — is *doomed*, and dooming propagates over
+///    the reverse index to every alive non-accepting configuration with a
+///    derivation through a doomed one.  Doomed configurations leave the
+///    alive sets.  Dooming is unconditional: a remaining derivation may rest
+///    on a cycle of doomed configurations that only support each other.
+///    Once the doomed population passes `overdelete_limit × alive
+///    population` the resume gives up — a cold recompute is in the same cost
+///    class by then; `overdelete_limit <= 0` refuses every removal.
+/// 3. **Re-derive.** A doomed configuration `(u, p)` revives iff some DFA
+///    transition `p --a--> q` has a forward `a`-neighbour `v` of `u` with
+///    `(v, q)` alive after the over-delete (the scan stops at the first).
+///    The revived configurations push to closure through doomed ones: the
+///    survivors under-approximate the new fixed point, and re-derivation
+///    from the still-derivable boundary restores it exactly.
+///
+/// Returns `(answer, push rounds, configurations over-deleted, next seed)`,
+/// the answer sharing the next seed's start-state row.  `None` when the
+/// seed's shape does not match the DFA or the index, or the over-delete
+/// gave up.
+pub fn resume(
     index: &LabelIndex,
     dfa: &Dfa,
-    resume: &EvalResume,
+    seed: &EvalResume,
     delta: &GraphDelta,
     scratch: &mut Scratch,
-    supports: &mut [Vec<u8>],
-) -> Option<u64> {
+    overdelete_limit: f64,
+) -> Option<(QueryAnswer, u64, u64, EvalResume)> {
     let n = index.node_count();
     let s = dfa.state_count();
+    let removals = !delta.removed_edges.is_empty();
+    if (removals && overdelete_limit <= 0.0)
+        || n == 0
+        || s == 0
+        || seed.state_count() != s
+        || seed.nodes() > n
+    {
+        return None;
+    }
+    scratch.prepare(s, n);
+    for state in 0..s {
+        scratch.alive[state].load_prefix(seed.state_words(state));
+    }
     let mut rev_dfa: Vec<Vec<(LabelId, usize)>> = vec![Vec::new(); s];
     for state in 0..s {
         for (label, target) in dfa.transitions_from(state) {
@@ -531,11 +454,12 @@ fn insert_sweep(
         }
     }
 
+    // --- Insert -----------------------------------------------------------
     // Nodes added since the capture: their accepting configurations are
     // alive by definition and expand like any fresh discovery.
     for state in 0..s {
         if dfa.is_accepting(state) {
-            for node in resume.nodes()..n {
+            for node in seed.nodes()..n {
                 if scratch.alive[state].insert(node) {
                     scratch.frontier[state].insert(node);
                 }
@@ -544,148 +468,44 @@ fn insert_sweep(
     }
     // Direct consequences of the added edges: (u, p) is alive when
     // u --a--> v was inserted, p --a--> q in the DFA and (v, q) is alive.
-    // Cascades through *old* edges are handled by the push rounds below —
-    // every new discovery enters the frontier and is expanded through the
-    // full (patched) reverse index.  Support accounting: a derivation
-    // through an added edge whose target was alive in the *seed* is
-    // invisible to the newly-alive sweeps (the target never re-enters a
-    // frontier), so it is counted here; targets that turn alive later are
-    // counted by their own sweep, which enumerates the patched index and so
-    // sees the added edge.
+    // Cascades through *old* edges are left to the push rounds — every new
+    // discovery enters the frontier and expands through the patched index.
     for edge in &delta.added_edges {
         let (u, v) = (edge.source.index(), edge.target.index());
         if u >= n || v >= n {
             return None;
         }
-        for (p, row) in supports.iter_mut().enumerate().take(s) {
+        for p in 0..s {
             if let Some(q) = dfa.step(p, edge.label) {
-                if seed_alive(resume, q, v) {
-                    row[u] = row[u].saturating_add(1);
-                }
                 if scratch.alive[q].contains(v) && scratch.alive[p].insert(u) {
                     scratch.frontier[p].insert(u);
                 }
             }
         }
     }
-
-    let mut rounds = 0u64;
-    loop {
-        let mut progress = false;
-        for (q, transitions) in rev_dfa.iter().enumerate() {
-            if scratch.frontier[q].is_empty() {
-                continue;
-            }
-            for &(label, p) in transitions {
-                for u in scratch.frontier[q].ones() {
-                    for &w in index.neighbors(Direction::Reverse, label, u) {
-                        let slot = &mut supports[p][w as usize];
-                        *slot = slot.saturating_add(1);
-                        if scratch.alive[p].insert(w as usize) {
-                            scratch.next[p].insert(w as usize);
-                            progress = true;
-                        }
-                    }
-                }
-            }
-        }
-        if !progress {
-            break;
-        }
-        rounds += 1;
-        std::mem::swap(&mut scratch.frontier, &mut scratch.next);
-        for bits in &mut scratch.next {
-            bits.clear();
-        }
+    let mut rounds = push_rounds(index, &rev_dfa, scratch, None);
+    if !removals {
+        let next = capture_seed(n, scratch);
+        return Some((next.answer(dfa.start()), rounds, 0, next));
     }
-    Some(rounds)
-}
-
-/// Was configuration `(node, state)` alive in the captured seed?  Reads the
-/// immutable snapshot words, so it stays answerable after `scratch` has
-/// moved on — the old-alive test the delta sweeps need.
-#[inline]
-fn seed_alive(resume: &EvalResume, state: usize, node: usize) -> bool {
-    node < resume.nodes() && resume.state_words(state)[node / 64] & (1u64 << (node % 64)) != 0
-}
-
-/// Packs the answer and the next epoch's seed out of a converged `scratch`.
-fn pack_result(
-    n: usize,
-    dfa: &Dfa,
-    scratch: &Scratch,
-    supports: Vec<Vec<u8>>,
-    rounds: u64,
-) -> (QueryAnswer, u64, EvalResume) {
-    let start = dfa.start();
-    let selected = (0..n)
-        .map(|node| scratch.alive[start].contains(node))
-        .collect();
-    let next_resume = EvalResume::new(
-        n,
-        scratch
-            .alive
-            .iter()
-            .map(|bits| bits.as_words().to_vec())
-            .collect(),
-        supports,
-    );
-    (QueryAnswer::from_flags(selected), rounds, next_resume)
-}
-
-/// Resumes the product fixed point from a captured [`EvalResume`] after a
-/// [`GraphDelta`] that contains **removals** (with or without insertions) —
-/// the delete-aware Tier-2 path.  DRed-style, in three phases over the
-/// patched index:
-///
-/// 1. **Insert sweep.** Added nodes and edges are folded in first, exactly
-///    like [`resume_counting`], keeping the support counters exact.  Doing
-///    inserts first means the later sweeps can enumerate the patched index
-///    uniformly: every derivation it contains is counted exactly once.
-/// 2. **Over-delete.** Each removed edge decrements the support of its
-///    source configurations (only for targets alive *in the seed* — those
-///    are the derivations the counters actually contain; the patched index
-///    no longer holds the removed edges, so no later sweep counted them).
-///    Every alive non-accepting configuration that lost a derivation is
-///    *doomed* — unconditionally, regardless of remaining support, because
-///    a positive count may rest on a non-well-founded cycle (two
-///    configurations supporting only each other survive zero-propagation
-///    but must die).  Dooming propagates transitively over the reverse
-///    index; each popped configuration leaves the alive set and decrements
-///    its dependents.  A decrement hitting a saturated (255) counter is
-///    deferred to a post-phase exact recount instead of guessing.  When the
-///    doom count passes `overdelete_limit × alive population`, the sweep
-///    gives up and returns `None` — the saturation fallback to a cold
-///    recompute.
-/// 3. **Re-derive.** After the worklist drains, supports count derivations
-///    through *surviving* configurations only, so every doomed
-///    configuration with a positive count is still derivable from the
-///    surviving boundary: those re-enter the alive set and push to closure,
-///    re-incrementing supports along the way.  Classic DRed: the survivors
-///    under-approximate the new fixed point, and re-derivation from the
-///    still-derivable boundary restores it exactly.
-///
-/// Returns `(answer, push rounds, configurations over-deleted, next seed)`;
-/// `None` on a shape mismatch or when the over-delete cone saturates.
-pub fn resume_with_removals(
-    index: &LabelIndex,
-    dfa: &Dfa,
-    resume: &EvalResume,
-    delta: &GraphDelta,
-    scratch: &mut Scratch,
-    overdelete_limit: f64,
-) -> Option<(QueryAnswer, u64, u64, EvalResume)> {
-    let n = index.node_count();
-    let s = dfa.state_count();
-    let mut supports = restore_seed(n, dfa, resume, scratch)?;
-    let mut rounds = insert_sweep(index, dfa, resume, delta, scratch, &mut supports)?;
 
     // --- Over-delete ------------------------------------------------------
-    // Aggregate the removed edges' derivation losses per configuration
-    // before touching any counter, so parallel removed edges into the same
-    // configuration subtract in one step.
-    let mut losses: std::collections::BTreeMap<(usize, usize), u32> =
-        std::collections::BTreeMap::new();
+    let alive_total: usize = scratch.alive.iter().map(FixedBitSet::count).sum();
+    let budget = overdelete_limit * alive_total as f64;
+    let mut doomed: Vec<FixedBitSet> = (0..s).map(|_| FixedBitSet::new(n)).collect();
+    // Every doomed configuration in doom order; it doubles as the worklist.
+    let mut doomed_configs: Vec<(usize, usize)> = Vec::new();
+    let doom = |p: usize,
+                u: usize,
+                alive: &[FixedBitSet],
+                doomed: &mut [FixedBitSet],
+                configs: &mut Vec<(usize, usize)>|
+     -> bool {
+        if !dfa.is_accepting(p) && alive[p].contains(u) && doomed[p].insert(u) {
+            configs.push((p, u));
+        }
+        configs.len() as f64 <= budget
+    };
     for edge in &delta.removed_edges {
         let (u, v) = (edge.source.index(), edge.target.index());
         if u >= n || v >= n {
@@ -693,113 +513,77 @@ pub fn resume_with_removals(
         }
         for p in 0..s {
             if let Some(q) = dfa.step(p, edge.label) {
-                if seed_alive(resume, q, v) {
-                    *losses.entry((p, u)).or_insert(0) += 1;
+                if seed_alive(seed, q, v)
+                    && !doom(p, u, &scratch.alive, &mut doomed, &mut doomed_configs)
+                {
+                    return None;
                 }
             }
         }
     }
-
-    let alive_total: usize = scratch.alive.iter().map(FixedBitSet::count).sum();
-    let budget = overdelete_limit * alive_total as f64;
-    // Doomed = over-deleted at least once this sweep; popped configurations
-    // leave `alive` only when their propagation runs, so in-flight recounts
-    // of "derivations via alive targets" stay consistent.
-    let mut doomed: Vec<FixedBitSet> = (0..s).map(|_| FixedBitSet::new(n)).collect();
-    // Counters that were saturated when a decrement hit them: their true
-    // value is unknown until the exact post-phase recount.
-    let mut stale: Vec<FixedBitSet> = (0..s).map(|_| FixedBitSet::new(n)).collect();
-    let mut doomed_configs: Vec<(usize, usize)> = Vec::new();
-    let mut worklist: std::collections::VecDeque<(usize, usize)> =
-        std::collections::VecDeque::new();
-    let doom = |p: usize,
-                u: usize,
-                alive: &[FixedBitSet],
-                doomed: &mut [FixedBitSet],
-                configs: &mut Vec<(usize, usize)>,
-                worklist: &mut std::collections::VecDeque<(usize, usize)>|
-     -> bool {
-        if !dfa.is_accepting(p) && alive[p].contains(u) && doomed[p].insert(u) {
-            configs.push((p, u));
-            worklist.push_back((p, u));
-            if configs.len() as f64 > budget {
-                return false;
-            }
-        }
-        true
-    };
-
-    for (&(p, u), &k) in &losses {
-        let slot = &mut supports[p][u];
-        if *slot == u8::MAX {
-            stale[p].insert(u);
-        } else {
-            *slot = slot.saturating_sub(k.min(u8::MAX as u32) as u8);
-        }
-        if !doom(
-            p,
-            u,
-            &scratch.alive,
-            &mut doomed,
-            &mut doomed_configs,
-            &mut worklist,
-        ) {
-            return None;
-        }
-    }
-    let mut rev_dfa: Vec<Vec<(LabelId, usize)>> = vec![Vec::new(); s];
-    for state in 0..s {
-        for (label, target) in dfa.transitions_from(state) {
-            rev_dfa[target].push((label, state));
-        }
-    }
-    while let Some((q, v)) = worklist.pop_front() {
+    let mut popped = 0;
+    while let Some(&(q, v)) = doomed_configs.get(popped) {
+        popped += 1;
         scratch.alive[q].remove(v);
         for &(label, p) in &rev_dfa[q] {
             for &w in index.neighbors(Direction::Reverse, label, v) {
-                let w = w as usize;
-                let slot = &mut supports[p][w];
-                if *slot == u8::MAX {
-                    stale[p].insert(w);
-                } else {
-                    *slot = slot.saturating_sub(1);
-                }
                 if !doom(
                     p,
-                    w,
+                    w as usize,
                     &scratch.alive,
                     &mut doomed,
                     &mut doomed_configs,
-                    &mut worklist,
                 ) {
                     return None;
                 }
             }
         }
     }
-    let overdeleted = doomed_configs.len() as u64;
-    // Exact recount for every counter a decrement found saturated, against
-    // the post-over-delete alive sets — from here on each counter is either
-    // exact or a true 255 again.
-    for (p, dirty) in stale.iter().enumerate() {
-        for w in dirty.ones() {
-            supports[p][w] = recount_support(index, dfa, &scratch.alive, p, w);
-        }
-    }
 
     // --- Re-derive --------------------------------------------------------
-    // Supports now count derivations through survivors only, so a doomed
-    // configuration with a positive count is derivable from the surviving
-    // boundary: revive it and push to closure.  Only doomed configurations
-    // can revive — everything else alive-eligible survived over-delete.
+    // Only doomed configurations can revive — everything else alive-eligible
+    // survived.  The boundary is read against the post-over-delete alive sets
+    // and staged in the frontier, so revivals do not feed each other here.
     for set in scratch.frontier.iter_mut().chain(scratch.next.iter_mut()) {
         set.clear();
     }
     for &(p, u) in &doomed_configs {
-        if supports[p][u] > 0 && scratch.alive[p].insert(u) {
+        let derivable = dfa.transitions_from(p).any(|(label, q)| {
+            index
+                .neighbors(Direction::Forward, label, u)
+                .iter()
+                .any(|&v| scratch.alive[q].contains(v as usize))
+        });
+        if derivable {
             scratch.frontier[p].insert(u);
         }
     }
+    for p in 0..s {
+        scratch.frontier[p].union_into(&mut scratch.alive[p]);
+    }
+    rounds += push_rounds(index, &rev_dfa, scratch, Some(&doomed));
+
+    let next = capture_seed(n, scratch);
+    Some((
+        next.answer(dfa.start()),
+        rounds,
+        doomed_configs.len() as u64,
+        next,
+    ))
+}
+
+/// Push rounds from the current frontier to closure over the reverse index:
+/// each round marks newly derived configurations alive at once and stages
+/// them as the next frontier.  With `within`, only configurations in those
+/// per-state sets may turn alive.  Returns the rounds that derived
+/// something.
+fn push_rounds(
+    index: &LabelIndex,
+    rev_dfa: &[Vec<(LabelId, usize)>],
+    scratch: &mut Scratch,
+    within: Option<&[FixedBitSet]>,
+) -> u64 {
+    let mut rounds = 0u64;
     loop {
         let mut progress = false;
         for (q, transitions) in rev_dfa.iter().enumerate() {
@@ -810,9 +594,9 @@ pub fn resume_with_removals(
                 for v in scratch.frontier[q].ones() {
                     for &w in index.neighbors(Direction::Reverse, label, v) {
                         let w = w as usize;
-                        let slot = &mut supports[p][w];
-                        *slot = slot.saturating_add(1);
-                        if doomed[p].contains(w) && scratch.alive[p].insert(w) {
+                        if within.is_none_or(|sets| sets[p].contains(w))
+                            && scratch.alive[p].insert(w)
+                        {
                             scratch.next[p].insert(w);
                             progress = true;
                         }
@@ -821,7 +605,7 @@ pub fn resume_with_removals(
             }
         }
         if !progress {
-            break;
+            return rounds;
         }
         rounds += 1;
         std::mem::swap(&mut scratch.frontier, &mut scratch.next);
@@ -829,9 +613,14 @@ pub fn resume_with_removals(
             bits.clear();
         }
     }
+}
 
-    let (answer, rounds, next_resume) = pack_result(n, dfa, scratch, supports, rounds);
-    Some((answer, rounds, overdeleted, next_resume))
+/// Was configuration `(node, state)` alive in the captured seed?  Reads the
+/// immutable snapshot words, so it stays answerable after `scratch` has
+/// moved on — the old-alive test the removal sweep needs.
+#[inline]
+fn seed_alive(seed: &EvalResume, state: usize, node: usize) -> bool {
+    node < seed.nodes() && seed.state_words(state)[node / 64] & (1u64 << (node % 64)) != 0
 }
 
 /// Forward single-source check: does some path from `source` spell an
@@ -1073,12 +862,16 @@ mod tests {
         let dfa = Dfa::from_regex(&Regex::star(Regex::symbol(x)));
         let index = LabelIndex::from_backend(&g);
         let mut scratch = Scratch::default();
-        let (answer, _, resume) =
-            evaluate_captured(&index, &dfa, Plan::Bidirectional, &mut scratch);
+        let (answer, _, seed) = evaluate_captured(&index, &dfa, Plan::Bidirectional, &mut scratch);
         assert_eq!(answer.len(), g.node_count(), "saturating query");
-        let resume = resume.expect("saturated fixed points now capture a seed");
-        assert_eq!(resume.state_count(), dfa.state_count());
-        assert_eq!(resume.nodes(), g.node_count());
+        let seed = seed.expect("saturated fixed points now capture a seed");
+        assert_eq!(seed.state_count(), dfa.state_count());
+        assert_eq!(seed.nodes(), g.node_count());
+        assert_eq!(
+            answer,
+            seed.answer(dfa.start()),
+            "the answer is the start row"
+        );
         // The captured seed must be the *true* fixed point: answers resumed
         // from it after an insert-only delta match a cold evaluation.
         let base = std::sync::Arc::new(gps_graph::CsrGraph::from_graph(&g));
@@ -1088,8 +881,9 @@ mod tests {
         let summary = delta.delta();
         let compacted = delta.compact();
         let patched = index.apply_delta(&summary, compacted.node_count(), compacted.label_count());
-        let (resumed, _, _) =
-            resume_counting(&patched, &dfa, &resume, &summary, &mut scratch).expect("insert-only");
+        let (resumed, _, overdeleted, _) =
+            resume(&patched, &dfa, &seed, &summary, &mut scratch, 0.0).expect("insert-only");
+        assert_eq!(overdeleted, 0, "no removals, no over-delete");
         assert_eq!(resumed, gps_rpq::eval::evaluate(&compacted, &dfa));
     }
 
@@ -1107,28 +901,45 @@ mod tests {
         }
     }
 
+    /// What [`resume_removal_case`] hands back: the resumed answer, the
+    /// configurations over-deleted, the next seed, the compacted graph and
+    /// its patched index.
+    type Resumed = (
+        QueryAnswer,
+        u64,
+        EvalResume,
+        gps_graph::CsrGraph,
+        LabelIndex,
+    );
+
     /// Captures a seed on `g`, applies `mutate` on a [`DeltaGraph`] over it,
-    /// and returns the delete-aware resumed answer + seed alongside the
-    /// patched graph (panicking if the resume bails).
+    /// and resumes across the delta; `None` when the resume bails.
     fn resume_removal_case(
         g: &Graph,
         dfa: &Dfa,
         limit: f64,
         mutate: impl FnOnce(&mut gps_graph::DeltaGraph),
-    ) -> Option<(QueryAnswer, EvalResume, gps_graph::CsrGraph, LabelIndex)> {
+    ) -> Option<Resumed> {
         let index = LabelIndex::from_backend(g);
         let mut scratch = Scratch::default();
-        let (_, _, resume) = evaluate_captured(&index, dfa, Plan::Bidirectional, &mut scratch);
-        let resume = resume.expect("base capture");
+        let (_, _, seed) = evaluate_captured(&index, dfa, Plan::Bidirectional, &mut scratch);
+        let seed = seed.expect("base capture");
         let base = std::sync::Arc::new(gps_graph::CsrGraph::from_graph(g));
         let mut delta = gps_graph::DeltaGraph::new(base);
         mutate(&mut delta);
         let summary = delta.delta();
         let compacted = delta.compact();
         let patched = index.apply_delta(&summary, compacted.node_count(), compacted.label_count());
-        let (answer, _, _, next) =
-            resume_with_removals(&patched, dfa, &resume, &summary, &mut scratch, limit)?;
-        Some((answer, next, compacted, patched))
+        let (answer, _, overdeleted, next) =
+            resume(&patched, dfa, &seed, &summary, &mut scratch, limit)?;
+        Some((answer, overdeleted, next, compacted, patched))
+    }
+
+    /// A seed captured from scratch on `index`.
+    fn fresh_seed(index: &LabelIndex, dfa: &Dfa) -> EvalResume {
+        let mut scratch = Scratch::default();
+        let (_, _, seed) = evaluate_captured(index, dfa, Plan::Bidirectional, &mut scratch);
+        seed.expect("fresh capture")
     }
 
     #[test]
@@ -1151,17 +962,15 @@ mod tests {
             Regex::star(Regex::symbol(x)),
             Regex::symbol(y),
         ]));
-        let (answer, next, compacted, patched) = resume_removal_case(&g, &dfa, 1.0, |delta| {
+        let (answer, _, next, compacted, patched) = resume_removal_case(&g, &dfa, 1.0, |delta| {
             assert!(delta.remove_edge(b, y, c));
         })
         .expect("within budget");
         assert!(answer.is_empty(), "the cycle must not keep itself alive");
         assert_eq!(answer, gps_rpq::eval::evaluate(&compacted, &dfa));
         // The produced seed must equal a from-scratch capture on the
-        // patched graph — words and support counts both.
-        let mut scratch = Scratch::default();
-        let (_, _, fresh) = evaluate_captured(&patched, &dfa, Plan::Bidirectional, &mut scratch);
-        assert_eq!(next, fresh.expect("fresh capture"));
+        // patched graph.
+        assert_eq!(next, fresh_seed(&patched, &dfa));
     }
 
     #[test]
@@ -1177,7 +986,7 @@ mod tests {
         let n4 = NodeId::from(2usize);
         let tram = g.label_id("tram").unwrap();
         let bus = g.label_id("bus").unwrap();
-        let (answer, next, compacted, patched) = resume_removal_case(&g, &dfa, 1.0, |delta| {
+        let (answer, _, next, compacted, patched) = resume_removal_case(&g, &dfa, 1.0, |delta| {
             let n5 = delta.add_node("N5");
             delta.add_edge(n2, tram, n5);
             delta.add_edge(n5, bus, n4);
@@ -1186,9 +995,45 @@ mod tests {
         .expect("within budget");
         assert_eq!(answer, gps_rpq::eval::evaluate(&compacted, &dfa));
         assert!(answer.contains(n1), "N1 still reaches the cinema via tram");
-        let mut scratch = Scratch::default();
-        let (_, _, fresh) = evaluate_captured(&patched, &dfa, Plan::Bidirectional, &mut scratch);
-        assert_eq!(next, fresh.expect("fresh capture"));
+        assert_eq!(next, fresh_seed(&patched, &dfa));
+    }
+
+    #[test]
+    fn removing_one_of_two_parallel_edges_keeps_the_configuration_alive() {
+        // a --x--> b twice, b --y--> c, query `x.y`.  Removing one of the
+        // parallel edges dooms (a, start) — it lost a derivation from an
+        // alive target — but the any-successor check finds the surviving
+        // twin and revives it.  Removing the twin as well kills it.
+        let mut g = Graph::new();
+        let a = g.add_node("a");
+        let b = g.add_node("b");
+        let c = g.add_node("c");
+        g.add_edge_by_name(a, "x", b);
+        g.add_edge_by_name(a, "x", b);
+        g.add_edge_by_name(b, "y", c);
+        let x = g.label_id("x").unwrap();
+        let y = g.label_id("y").unwrap();
+        let dfa = Dfa::from_regex(&Regex::concat([Regex::symbol(x), Regex::symbol(y)]));
+        let (answer, overdeleted, next, compacted, patched) =
+            resume_removal_case(&g, &dfa, 1.0, |delta| {
+                assert!(delta.remove_edge(a, x, b));
+            })
+            .expect("within budget");
+        assert_eq!(overdeleted, 1, "the source configuration is over-deleted");
+        assert!(answer.contains(a), "the twin edge re-derives it");
+        assert_eq!(answer, gps_rpq::eval::evaluate(&compacted, &dfa));
+        assert_eq!(next, fresh_seed(&patched, &dfa));
+
+        let (answer, overdeleted, next, compacted, patched) =
+            resume_removal_case(&g, &dfa, 1.0, |delta| {
+                assert!(delta.remove_edge(a, x, b));
+                assert!(delta.remove_edge(a, x, b));
+            })
+            .expect("within budget");
+        assert_eq!(overdeleted, 1);
+        assert!(answer.is_empty(), "no derivation is left");
+        assert_eq!(answer, gps_rpq::eval::evaluate(&compacted, &dfa));
+        assert_eq!(next, fresh_seed(&patched, &dfa));
     }
 
     #[test]
@@ -1203,5 +1048,30 @@ mod tests {
             assert!(delta.remove_edge(NodeId::from(1usize), bus, n1));
         });
         assert!(bailed.is_none(), "budget 0.0 must force the cold fallback");
+    }
+
+    #[test]
+    fn overdelete_budget_zero_refuses_even_an_empty_cone() {
+        // N4 --bus--> C1 leads nowhere (C1 has no way on to a cinema), so
+        // removing it dooms no configuration.  Budget 0.0 is a kill switch
+        // all the same: every removal recomputes cold.
+        let mut g = figure1_like();
+        let n4 = NodeId::from(2usize);
+        let c1 = NodeId::from(3usize);
+        g.add_edge_by_name(n4, "bus", c1);
+        let dfa = motivating(&g);
+        let bus = g.label_id("bus").unwrap();
+        let remove = |delta: &mut gps_graph::DeltaGraph| {
+            assert!(delta.remove_edge(n4, bus, c1));
+        };
+        let (answer, overdeleted, _, compacted, _) =
+            resume_removal_case(&g, &dfa, DEFAULT_OVERDELETE_LIMIT, remove)
+                .expect("an empty cone fits any positive budget");
+        assert_eq!(overdeleted, 0, "the removed edge derived nothing");
+        assert_eq!(answer, gps_rpq::eval::evaluate(&compacted, &dfa));
+        assert!(
+            resume_removal_case(&g, &dfa, 0.0, remove).is_none(),
+            "budget 0.0 refuses every removal"
+        );
     }
 }

@@ -30,10 +30,16 @@ pub enum Direction {
 /// neighbors under this label — the bounds check in
 /// [`Partition::neighbors_of`] makes stale coverage safe, which is what lets
 /// [`LabelIndex::apply_delta`] share untouched partitions across epochs.
+///
+/// Every constructor also maintains the partition's largest neighbor count
+/// and its number of nodes with any neighbor — the per-label degree
+/// statistics [`LabelIndex::patched_stats`] reads without a scan.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 struct Partition {
     offsets: Vec<u32>,
     neighbors: Vec<u32>,
+    max_degree: usize,
+    occupied_nodes: usize,
 }
 
 impl Partition {
@@ -43,6 +49,7 @@ impl Partition {
         Self {
             offsets: vec![0u32; node_count + 2],
             neighbors: vec![0u32; edges],
+            ..Self::default()
         }
     }
 
@@ -55,9 +62,17 @@ impl Partition {
         for &(from, _) in edges {
             self.offsets[from as usize + 2] += 1;
         }
+        // The statistics accumulate in locals: sharded builds fill adjacent
+        // partitions on different threads, and per-node stores into the
+        // structs would contend for their shared cache lines.
+        let (mut max_degree, mut occupied_nodes) = (0, 0);
         for i in 1..self.offsets.len() {
+            let degree = self.offsets[i] as usize;
+            max_degree = max_degree.max(degree);
+            occupied_nodes += (degree > 0) as usize;
             self.offsets[i] += self.offsets[i - 1];
         }
+        (self.max_degree, self.occupied_nodes) = (max_degree, occupied_nodes);
         for &(from, to) in edges {
             let slot = &mut self.offsets[from as usize + 1];
             self.neighbors[*slot as usize] = to;
@@ -70,7 +85,7 @@ impl Partition {
     fn empty(node_count: usize) -> Self {
         Self {
             offsets: vec![0u32; node_count + 1],
-            neighbors: Vec::new(),
+            ..Self::default()
         }
     }
 
@@ -85,22 +100,27 @@ impl Partition {
     }
 
     /// This partition with `removals` and `additions` applied — `(from, to)`
-    /// pairs, each list stably sorted by `from`: each removal takes the first
-    /// surviving occurrence, additions append in order.  Only the changed
-    /// "from" nodes are visited; the runs between them are copied wholesale
-    /// with their offsets shifted.
+    /// pairs, each list sorted by `from`: each removal takes the first
+    /// surviving occurrence.  Additions append in order, or — when
+    /// `ascending`, for partitions whose neighbor lists ascend (reverse ones)
+    /// and `additions` sorted by `(from, to)` — merge in after equal
+    /// entries, so the result equals a fresh build either way.  Only the
+    /// changed "from" nodes are visited; the runs between them are copied
+    /// wholesale with their offsets shifted, and the degree statistics are
+    /// updated from the changed nodes' old and new degrees (a scan only when
+    /// a node holding the old maximum shrank below it and none reached it).
     fn patched(
         old: Option<&Partition>,
         node_count: usize,
         mut removals: &[(u32, u32)],
         mut additions: &[(u32, u32)],
+        ascending: bool,
     ) -> Self {
-        let (old_offsets, old_neighbors) = old.map_or((&[0u32][..], &[][..]), |p| {
-            (&p.offsets[..], &p.neighbors[..])
-        });
-        let covered = old_offsets.len() - 1;
+        let empty = Partition::empty(0);
+        let old = old.unwrap_or(&empty);
+        let covered = old.offsets.len() - 1;
         let mut offsets = Vec::with_capacity(node_count + 1);
-        let mut neighbors = Vec::with_capacity(old_neighbors.len() + additions.len());
+        let mut neighbors = Vec::with_capacity(old.neighbors.len() + additions.len());
         offsets.push(0u32);
         // Appends nodes `from..to` unchanged (nodes past the old coverage
         // have no neighbors).
@@ -108,10 +128,10 @@ impl Partition {
             |offsets: &mut Vec<u32>, neighbors: &mut Vec<u32>, from: usize, to: usize| {
                 let stop = to.min(covered);
                 if from < stop {
-                    let (lo, hi) = (old_offsets[from], old_offsets[stop]);
+                    let (lo, hi) = (old.offsets[from], old.offsets[stop]);
                     let at = neighbors.len() as u32;
-                    offsets.extend(old_offsets[from + 1..=stop].iter().map(|&o| o - lo + at));
-                    neighbors.extend_from_slice(&old_neighbors[lo as usize..hi as usize]);
+                    offsets.extend(old.offsets[from + 1..=stop].iter().map(|&o| o - lo + at));
+                    neighbors.extend_from_slice(&old.neighbors[lo as usize..hi as usize]);
                 }
                 offsets.resize(to + 1, neighbors.len() as u32);
             };
@@ -121,6 +141,9 @@ impl Partition {
             *pairs = rest;
             own
         }
+        let mut occupied_nodes = old.occupied_nodes;
+        let mut changed_max = 0;
+        let mut max_shrank = false;
         let mut next = 0;
         while let Some(node) = [removals.first(), additions.first()]
             .into_iter()
@@ -131,37 +154,48 @@ impl Partition {
             let (removed, added) = (take(&mut removals, node), take(&mut additions, node));
             let node = node as usize;
             copy_run(&mut offsets, &mut neighbors, next, node);
-            let base = old.map_or(&[][..], |p| p.neighbors_of(node));
+            let start = neighbors.len();
+            let base = old.neighbors_of(node);
             let mut pending: Vec<u32> = removed.iter().map(|&(_, to)| to).collect();
+            let mut added = added.iter().map(|&(_, to)| to).peekable();
             for &to in base {
                 if let Some(pos) = pending.iter().position(|&r| r == to) {
                     pending.swap_remove(pos);
-                } else {
-                    neighbors.push(to);
+                    continue;
                 }
+                while let Some(smaller) = added.next_if(|&a| ascending && a < to) {
+                    neighbors.push(smaller);
+                }
+                neighbors.push(to);
             }
-            neighbors.extend(added.iter().map(|&(_, to)| to));
+            neighbors.extend(added);
             offsets.push(neighbors.len() as u32);
+            let degree = neighbors.len() - start;
+            occupied_nodes = occupied_nodes + (degree > 0) as usize - (!base.is_empty()) as usize;
+            changed_max = changed_max.max(degree);
+            max_shrank |= base.len() == old.max_degree && degree < base.len();
             next = node + 1;
         }
         copy_run(&mut offsets, &mut neighbors, next, node_count);
-        Self { offsets, neighbors }
+        let max_degree = if max_shrank && changed_max < old.max_degree {
+            offsets
+                .windows(2)
+                .map(|w| (w[1] - w[0]) as usize)
+                .max()
+                .unwrap_or(0)
+        } else {
+            changed_max.max(old.max_degree)
+        };
+        Self {
+            offsets,
+            neighbors,
+            max_degree,
+            occupied_nodes,
+        }
     }
 
     fn memory_bytes(&self) -> usize {
         (self.offsets.len() + self.neighbors.len()) * std::mem::size_of::<u32>()
-    }
-
-    fn max_degree(&self) -> usize {
-        self.offsets
-            .windows(2)
-            .map(|w| (w[1] - w[0]) as usize)
-            .max()
-            .unwrap_or(0)
-    }
-
-    fn occupied_nodes(&self) -> usize {
-        self.offsets.windows(2).filter(|w| w[1] > w[0]).count()
     }
 }
 
@@ -355,15 +389,13 @@ impl LabelIndex {
     /// arrays with this index (`Arc` clone, no copy).
     ///
     /// `node_count` / `label_count` are the merged graph's counts (take them
-    /// from the compacted snapshot).  Each node's neighbors come out in
-    /// (surviving base order, then insertion order).  Forward partitions are
-    /// therefore identical to [`from_csr`](Self::from_csr) over that
-    /// snapshot; a reverse partition holds the same neighbors, but a fresh
-    /// build orders them by source node while the patch appends insertions
-    /// in delta order.  Evaluation reads partitions as sets, so answers agree.
-    /// Each touched partition is spliced (see `Partition::patched`): only
-    /// the nodes the delta changes are visited.  The returned index inherits
-    /// the shard setting.
+    /// from the compacted snapshot).  In a forward partition each node's
+    /// neighbors come out in surviving base order, then insertion order; in
+    /// a reverse partition they ascend by source node, the insertions merged
+    /// in.  Both match [`from_csr`](Self::from_csr) over that snapshot byte
+    /// for byte.  Each touched partition is spliced (see
+    /// `Partition::patched`): only the nodes the delta changes are visited.
+    /// The returned index inherits the shard setting.
     pub fn apply_delta(
         &self,
         delta: &GraphDelta,
@@ -373,7 +405,9 @@ impl LabelIndex {
         let touched = delta.touched_labels();
         // One touched label's changes in one direction as `(from, to)` pairs
         // keyed by the partition's "from" endpoint (source forward, target
-        // reverse), stably sorted so each node keeps its insertion order.
+        // reverse).  Forward pairs are stably sorted by `from`, so each node
+        // keeps its insertion order; reverse pairs are sorted whole, the
+        // order the ascending merge needs.
         let changes = |edges: &[Edge], label: usize, reverse: bool| -> Vec<(u32, u32)> {
             let mut pairs: Vec<(u32, u32)> = edges
                 .iter()
@@ -387,7 +421,11 @@ impl LabelIndex {
                     (from.raw(), to.raw())
                 })
                 .collect();
-            pairs.sort_by_key(|&(from, _)| from);
+            if reverse {
+                pairs.sort_unstable();
+            } else {
+                pairs.sort_by_key(|&(from, _)| from);
+            }
             pairs
         };
 
@@ -403,6 +441,7 @@ impl LabelIndex {
                         node_count,
                         &changes(&delta.removed_edges, label, reverse),
                         &changes(&delta.added_edges, label, reverse),
+                        reverse,
                     ))
                 };
                 let fwd = patch(&self.fwd, false);
@@ -448,10 +487,10 @@ impl LabelIndex {
                             label,
                             edge_count: fwd.neighbors.len(),
                             frequency: 0.0,
-                            max_out_degree: fwd.max_degree(),
-                            max_in_degree: rev.max_degree(),
-                            source_count: fwd.occupied_nodes(),
-                            target_count: rev.occupied_nodes(),
+                            max_out_degree: fwd.max_degree,
+                            max_in_degree: rev.max_degree,
+                            source_count: fwd.occupied_nodes,
+                            target_count: rev.occupied_nodes,
                         }
                     }
                 };
@@ -734,6 +773,77 @@ mod tests {
                 sharded.apply_delta(&summary, compacted.node_count(), compacted.label_count());
             assert_eq!(patched.shards(), shards, "patched index inherits shards");
             assert_byte_identical(&seq_patched, &patched);
+        }
+    }
+
+    #[test]
+    fn chained_patches_are_byte_identical_with_exact_degree_stats() {
+        use gps_graph::{CsrGraph, DeltaGraph};
+
+        fn below(state: &mut u64, bound: usize) -> usize {
+            *state ^= *state << 13;
+            *state ^= *state >> 7;
+            *state ^= *state << 17;
+            (*state % bound as u64) as usize
+        }
+        // Node 0 is the `x` hub (out-degree 9, in-degree 7); node 1 is the
+        // runner-up (out-degree 8), so shrinking the hub moves the maximum
+        // to a node the patch never visits.
+        let mut g = Graph::new();
+        let nodes: Vec<NodeId> = (0..40).map(|i| g.add_node(format!("n{i}"))).collect();
+        for i in 1..10 {
+            g.add_edge_by_name(nodes[0], "x", nodes[i]);
+        }
+        for i in 2..10 {
+            g.add_edge_by_name(nodes[1], "x", nodes[i + 10]);
+        }
+        for i in 3..10 {
+            g.add_edge_by_name(nodes[i + 20], "x", nodes[0]);
+        }
+        let mut rng = 0x5EED_u64;
+        for _ in 0..30 {
+            let (s, t) = (below(&mut rng, 40), below(&mut rng, 40));
+            g.add_edge_by_name(nodes[s], ["x", "y"][below(&mut rng, 2)], nodes[t]);
+        }
+        let mut snapshot = std::sync::Arc::new(CsrGraph::from_graph(&g));
+        let mut index = LabelIndex::from_csr(&snapshot);
+        let mut stats = gps_graph::LabelStats::compute(&*snapshot);
+        let x = g.label_id("x").unwrap();
+        for epoch in 0..12 {
+            let mut delta = DeltaGraph::new(std::sync::Arc::clone(&snapshot));
+            if epoch == 0 {
+                assert!(delta.remove_edge(nodes[0], x, nodes[1]));
+                assert!(delta.remove_edge(nodes[0], x, nodes[2]));
+                assert!(delta.remove_edge(nodes[23], x, nodes[0]));
+            }
+            let edges: Vec<Edge> = snapshot.edges_by_source().map(|(_, e)| e).collect();
+            for _ in 0..3 {
+                let e = edges[below(&mut rng, edges.len())];
+                delta.remove_edge(e.source, e.label, e.target);
+            }
+            if epoch % 4 == 1 {
+                delta.add_node(format!("fresh{epoch}"));
+            }
+            for _ in 0..4 {
+                let n = delta.node_count();
+                let (s, t) = (below(&mut rng, n), below(&mut rng, n));
+                let label = delta.label(["x", "y"][below(&mut rng, 2)]);
+                delta.add_edge(NodeId::from(s), label, NodeId::from(t));
+            }
+            let summary = delta.delta();
+            let compacted = delta.compact();
+            let patched =
+                index.apply_delta(&summary, compacted.node_count(), compacted.label_count());
+            assert_byte_identical(&patched, &LabelIndex::from_csr(&compacted));
+            let patched_stats = patched.patched_stats(&stats, &summary.touched_labels());
+            assert_eq!(
+                patched_stats,
+                gps_graph::LabelStats::compute(&compacted),
+                "epoch {epoch}"
+            );
+            snapshot = std::sync::Arc::new(compacted);
+            index = patched;
+            stats = patched_stats;
         }
     }
 

@@ -1,16 +1,15 @@
-//! Support-counter conformance — the delete-aware resume's bookkeeping must
-//! be indistinguishable from starting over.
+//! Resume conformance — the resumed seed must be indistinguishable from
+//! starting over.
 //!
 //! Property: across chained random mixed insert+delete epochs, the
-//! [`EvalResume`] produced by `resume_with_removals` — alive words **and**
-//! per-`(state, node)` support counts — equals a from-scratch captured
-//! evaluation on the patched graph, and the answer equals a cold evaluation.
-//! Checked under both frontier backends ([`FrontierPolicy::Dense`] and
-//! [`FrontierPolicy::Sparse`]) with a deterministic xorshift generator (no
-//! external RNG dependency).
+//! [`EvalResume`] produced by `resume` — the per-state alive words — equals
+//! a from-scratch captured evaluation on the patched graph, and the answer
+//! equals a cold evaluation.  Checked under both frontier backends
+//! ([`FrontierPolicy::Dense`] and [`FrontierPolicy::Sparse`]) with a
+//! deterministic xorshift generator (no external RNG dependency).
 
 use gps_automata::{Dfa, Regex};
-use gps_exec::frontier::{evaluate_captured, resume_with_removals, Scratch};
+use gps_exec::frontier::{evaluate_captured, resume, Scratch};
 use gps_exec::planner::Plan;
 use gps_exec::{FrontierPolicy, LabelIndex};
 use gps_graph::{CsrGraph, DeltaGraph, Edge, Graph, GraphBackend, LabelId, NodeId};
@@ -131,22 +130,21 @@ fn chained_epochs_reproduce_fresh_captures(policy: FrontierPolicy, seed: u64) {
 
         for (dfa, seed) in queries.iter().zip(seeds.iter_mut()) {
             // Limit 1.0 never bails: the resume must succeed on every delta.
-            let (answer, _, _, next) =
-                resume_with_removals(&patched, dfa, seed, &summary, &mut scratch, 1.0)
-                    .expect("limit 1.0 never falls back");
+            let (answer, _, _, next) = resume(&patched, dfa, seed, &summary, &mut scratch, 1.0)
+                .expect("limit 1.0 never falls back");
             assert_eq!(
                 answer,
                 gps_rpq::eval::evaluate(&compacted, dfa),
                 "{policy:?}, epoch {epoch}: resumed answer diverged from cold"
             );
-            // The resumed seed — alive words and support counts — must be
-            // byte-identical to capturing from scratch on the patched graph.
+            // The resumed seed's alive words must be identical to capturing
+            // from scratch on the patched graph.
             let (_, _, fresh_seed) =
                 evaluate_captured(&patched, dfa, Plan::Bidirectional, &mut scratch);
             assert_eq!(
                 next,
                 fresh_seed.expect("fresh capture"),
-                "{policy:?}, epoch {epoch}: resumed supports diverged from a fresh capture"
+                "{policy:?}, epoch {epoch}: resumed alive words diverged from a fresh capture"
             );
             *seed = next;
         }

@@ -314,27 +314,24 @@ impl EvalCache {
     }
 
     /// Migrates `old`'s (the superseded epoch's) cached answers into this
-    /// (new-epoch) cache across `delta`, in three tiers:
+    /// (new-epoch) cache across `delta`:
     ///
     /// * **Tier 1 — proof of irrelevance.** An entry whose DFA alphabet
     ///   misses every touched label cannot observe the delta: edges with
     ///   labels outside the alphabet never fire a DFA transition, so the
     ///   product — and the answer, witnesses and captured fixed point — is
     ///   unchanged.  The entry is carried verbatim (`Arc`-shared; when the
-    ///   delta added nodes, the answer is extended with the language's
-    ///   nullability, since a node whose every edge is alphabet-irrelevant is
-    ///   selected iff the language contains the empty word).
-    /// * **Tier 2 — delta-restricted re-derivation.** A touched entry with a
-    ///   captured seed on an *insert-only* delta resumes its fixed point
-    ///   restricted to the delta ([`DfaEvaluator::evaluate_dfa_resumed`]) —
-    ///   the fixed point is monotone in the edge set, so inserts only grow
-    ///   it.
-    /// * **Tier 3 — over-delete/re-derive.** A touched entry with a seed on
-    ///   a *removal-bearing* delta takes the delete-aware resume: support
-    ///   counts are decremented along removed edges, zero-support
-    ///   configurations are transitively over-deleted, and the survivors
-    ///   re-seed a push-only re-derivation (mixed insert+delete deltas run
-    ///   the insert sweep first, then the removal sweep — one unified path).
+    ///   delta added nodes, the answer bitset is extended word-wise with the
+    ///   language's nullability, since a node whose every edge is
+    ///   alphabet-irrelevant is selected iff the language contains the empty
+    ///   word).
+    /// * **Tiers 2 and 3 — one resume.** A touched entry with a captured
+    ///   seed re-enters its fixed point through the evaluator's one resume
+    ///   path ([`DfaEvaluator::evaluate_dfa_resumed`]): the delta's inserts
+    ///   are swept in monotonically, then its removals (if any) run DRed
+    ///   over-delete/re-derive.  The new answer shares the new seed's
+    ///   start-state row.  Insert-only deltas count as `reseeded` (Tier 2),
+    ///   removal-bearing ones as `delete_reseeded` (Tier 3).
     ///
     /// Everything else falls back to a cold recompute on next use, with the
     /// reason attributed: `fallback_saturation` (the resume gave up — the
@@ -345,9 +342,9 @@ impl EvalCache {
     ///
     /// Recency ticks carry over, so LRU ordering survives the epoch swap;
     /// the split is recorded on the `carried`/`reseeded`/`delete_reseeded`/
-    /// `fallback*` counters and each reseed's wall time on
-    /// `gps_rpq_reseed_latency_ns` (Tier 2) or
-    /// `gps_rpq_delete_reseed_latency_ns` (Tier 3).
+    /// `fallback*` counters and each resume's wall time on
+    /// `gps_rpq_reseed_latency_ns` (insert-only) or
+    /// `gps_rpq_delete_reseed_latency_ns` (with removals).
     pub fn migrate_answers(&self, old: &EvalCache, delta: &GraphDelta) -> MigrationReport {
         let mut report = MigrationReport::default();
         let touched = delta.touched_labels();
@@ -376,12 +373,10 @@ impl EvalCache {
             let untouched = !entry.alphabet.iter().any(|label| touched.contains(&label));
             let migrated = if untouched {
                 report.carried += 1;
-                let answer = if entry.answer.flags().len() == new_n {
+                let answer = if entry.answer.node_count() == new_n {
                     Arc::clone(&entry.answer)
                 } else {
-                    let mut flags = entry.answer.flags().to_vec();
-                    flags.resize(new_n, entry.nullable);
-                    Arc::new(QueryAnswer::from_flags(flags))
+                    Arc::new(entry.answer.extended(new_n, entry.nullable))
                 };
                 Entry {
                     answer,
@@ -1272,8 +1267,8 @@ mod tests {
         assert!(!migrated.contains(w), "`x` is not nullable: W unselected");
         assert!(migrated_star.contains(w), "`x*` is nullable: W selected");
         let cold = EvalCache::from_csr(compacted);
-        assert_eq!(migrated.flags(), cold.evaluate(&q).flags());
-        assert_eq!(migrated_star.flags(), cold.evaluate(&star).flags());
+        assert_eq!(*migrated, *cold.evaluate(&q));
+        assert_eq!(*migrated_star, *cold.evaluate(&star));
     }
 
     #[test]

@@ -10,41 +10,120 @@
 use gps_automata::Dfa;
 use gps_graph::{CsrGraph, GraphBackend, GraphDelta, LabelId, NodeId, Path, PrefixTree, Word};
 use std::collections::{BTreeMap, VecDeque};
+use std::sync::Arc;
 
-/// The set of nodes selected by a query on a graph.
+/// The set of nodes selected by a query on a graph: a packed bitset, one bit
+/// per node (64 nodes per word, little-endian within a word), with every bit
+/// at or past the node count clear — so two answers over the same node count
+/// are equal exactly when their words are.
+///
+/// The words are `Arc`-shared: an answer read off a captured fixed point
+/// shares the start state's row with its [`EvalResume`] instead of copying
+/// it, and cloning an answer never copies the set.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct QueryAnswer {
-    selected: Vec<bool>,
+    words: Arc<[u64]>,
+    nodes: usize,
 }
 
 impl QueryAnswer {
-    /// Builds an answer from a per-node membership vector.
-    pub fn from_flags(selected: Vec<bool>) -> Self {
-        Self { selected }
+    /// Builds an answer from per-node membership flags (indexed by node id).
+    pub fn from_flags(selected: impl IntoIterator<Item = bool>) -> Self {
+        let mut words = Vec::new();
+        let mut nodes = 0;
+        for flag in selected {
+            if nodes % 64 == 0 {
+                words.push(0);
+            }
+            if flag {
+                words[nodes / 64] |= 1 << (nodes % 64);
+            }
+            nodes += 1;
+        }
+        Self {
+            words: words.into(),
+            nodes,
+        }
+    }
+
+    /// The answer over `nodes` nodes selecting none of them.
+    pub fn none(nodes: usize) -> Self {
+        Self {
+            words: vec![0; nodes.div_ceil(64)].into(),
+            nodes,
+        }
+    }
+
+    /// Wraps packed words over `nodes` nodes without copying them: `words`
+    /// must hold exactly `nodes.div_ceil(64)` words; bits past `nodes` are
+    /// masked (copying only when one is set).
+    pub fn from_words(nodes: usize, words: Arc<[u64]>) -> Self {
+        assert_eq!(words.len(), nodes.div_ceil(64), "one bit per node");
+        let tail = nodes % 64;
+        let dirty = tail != 0 && words.last().is_some_and(|&last| last >> tail != 0);
+        let words = if dirty {
+            let mut owned = words.to_vec();
+            if let Some(last) = owned.last_mut() {
+                *last &= (1 << tail) - 1;
+            }
+            owned.into()
+        } else {
+            words
+        };
+        Self { words, nodes }
+    }
+
+    /// This answer over `nodes >= node_count()` nodes, the added nodes set to
+    /// `fill` — a word-wise copy.
+    pub fn extended(&self, nodes: usize, fill: bool) -> Self {
+        assert!(nodes >= self.nodes, "answers only grow");
+        let mut words = self.words.to_vec();
+        if fill && !self.nodes.is_multiple_of(64) {
+            words[self.nodes / 64] |= u64::MAX << (self.nodes % 64);
+        }
+        words.resize(nodes.div_ceil(64), if fill { u64::MAX } else { 0 });
+        if !nodes.is_multiple_of(64) {
+            words[nodes / 64] &= (1 << (nodes % 64)) - 1;
+        }
+        Self {
+            words: words.into(),
+            nodes,
+        }
     }
 
     /// Returns `true` when `node` is selected.
+    #[inline]
     pub fn contains(&self, node: NodeId) -> bool {
-        self.selected.get(node.index()).copied().unwrap_or(false)
+        let index = node.index();
+        index < self.nodes && self.words[index / 64] >> (index % 64) & 1 != 0
     }
 
     /// The selected nodes in ascending id order.
     pub fn nodes(&self) -> Vec<NodeId> {
-        self.selected
-            .iter()
-            .enumerate()
-            .filter_map(|(i, &sel)| sel.then_some(i).map(NodeId::from))
-            .collect()
+        let mut nodes = Vec::with_capacity(self.len());
+        for (i, &word) in self.words.iter().enumerate() {
+            let mut bits = word;
+            while bits != 0 {
+                nodes.push(NodeId::from(i * 64 + bits.trailing_zeros() as usize));
+                bits &= bits - 1;
+            }
+        }
+        nodes
     }
 
     /// Number of selected nodes.
     pub fn len(&self) -> usize {
-        self.selected.iter().filter(|&&sel| sel).count()
+        self.words.iter().map(|w| w.count_ones() as usize).sum()
     }
 
     /// Returns `true` when no node is selected.
     pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        self.words.iter().all(|&w| w == 0)
+    }
+
+    /// The number of nodes of the graph the answer was computed on.
+    pub fn node_count(&self) -> usize {
+        self.nodes
     }
 
     /// Resolves the selected nodes to their display names.
@@ -54,48 +133,35 @@ impl QueryAnswer {
             .map(|n| graph.node_name(n))
             .collect()
     }
-
-    /// The underlying per-node membership flags (indexed by node id).
-    pub fn flags(&self) -> &[bool] {
-        &self.selected
-    }
 }
 
 /// A portable snapshot of a *completed* product fixed point: for every DFA
 /// state, the packed bit-words of its alive-node set (one bit per node, 64
-/// nodes per word, little-endian within each word), plus a per-state
-/// **support** array — for each configuration `(node, state)`, the number of
-/// distinct edge-derivations it has (one per `(DFA transition, graph edge)`
-/// pair whose target configuration is alive), saturated at 255.
+/// nodes per word, little-endian within each word), each row `Arc`-shared.
 ///
 /// An answer cache stores one of these next to each answer so that after a
 /// [`GraphDelta`] the fixed point can be re-entered from the old alive sets
-/// instead of from zero: insert-only deltas resume monotonically, and deltas
-/// with removals run a DRed-style over-delete/re-derive sweep that uses the
-/// support counts to find the still-derivable boundary.  The snapshot is only
-/// a valid seed when it describes a true fixed point of the old graph —
-/// evaluators that early-exit once the start state saturates must not capture
-/// one.
+/// instead of from zero: inserts resume monotonically, and removals run a
+/// DRed over-delete/re-derive sweep that finds the still-derivable boundary
+/// by checking each over-deleted configuration for one alive successor.  The
+/// answer is the start state's row, so [`answer`](Self::answer) shares it
+/// rather than copying: a cache entry costs `states × nodes / 8` bytes.  The
+/// snapshot is only a valid seed when it describes a true fixed point of the
+/// old graph — evaluators that early-exit once the start state saturates
+/// must not capture one.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct EvalResume {
     nodes: usize,
-    states: Vec<Vec<u64>>,
-    supports: Vec<Vec<u8>>,
+    states: Vec<Arc<[u64]>>,
 }
 
 impl EvalResume {
     /// Packs a captured fixed point: `states[q]` holds the bit-words of DFA
-    /// state `q`'s alive set over a universe of `nodes` nodes, and
-    /// `supports[q][v]` the saturating derivation count of configuration
-    /// `(v, q)` (0 for dead configurations).
-    pub fn new(nodes: usize, states: Vec<Vec<u64>>, supports: Vec<Vec<u8>>) -> Self {
-        debug_assert_eq!(states.len(), supports.len());
-        debug_assert!(supports.iter().all(|sup| sup.len() == nodes));
-        Self {
-            nodes,
-            states,
-            supports,
-        }
+    /// state `q`'s alive set over a universe of `nodes` nodes, bits past
+    /// `nodes` clear.
+    pub fn new(nodes: usize, states: Vec<Arc<[u64]>>) -> Self {
+        debug_assert!(states.iter().all(|row| row.len() == nodes.div_ceil(64)));
+        Self { nodes, states }
     }
 
     /// The node count of the graph the fixed point was computed on.  A later
@@ -115,11 +181,10 @@ impl EvalResume {
         &self.states[state]
     }
 
-    /// The per-node saturating derivation counts of DFA state `state`
-    /// (indexed by node, `min(true support, 255)`; 0 for dead
-    /// configurations).
-    pub fn state_supports(&self, state: usize) -> &[u8] {
-        &self.supports[state]
+    /// The nodes selected from `start` (the DFA's start state): the row
+    /// itself, shared rather than copied.
+    pub fn answer(&self, start: usize) -> QueryAnswer {
+        QueryAnswer::from_words(self.nodes, Arc::clone(&self.states[start]))
     }
 }
 
@@ -134,7 +199,7 @@ pub fn evaluate<B: GraphBackend>(graph: &B, dfa: &Dfa) -> QueryAnswer {
     let n = GraphBackend::node_count(graph);
     let s = dfa.state_count();
     if n == 0 || s == 0 {
-        return QueryAnswer::from_flags(vec![false; n]);
+        return QueryAnswer::none(n);
     }
 
     // Reverse DFA transitions: for each target state, the (label, source)
@@ -186,8 +251,7 @@ pub fn evaluate<B: GraphBackend>(graph: &B, dfa: &Dfa) -> QueryAnswer {
     }
 
     let start = dfa.start();
-    let selected = (0..n).map(|node| alive[idx(node, start)]).collect();
-    QueryAnswer::from_flags(selected)
+    QueryAnswer::from_flags((0..n).map(|node| alive[idx(node, start)]))
 }
 
 /// Evaluates a query DFA on a CSR snapshot.
@@ -248,10 +312,11 @@ pub trait DfaEvaluator: std::fmt::Debug + Send + Sync {
 
     /// Re-derives `dfa`'s answer on this evaluator's (post-delta) graph by
     /// resuming the product fixed point from `resume` — the captured alive
-    /// sets and support counts of the *pre-delta* evaluation.  Insert-only
-    /// deltas expand monotonically from the seed; deltas with removals
-    /// additionally run a DRed-style over-delete/re-derive sweep over the
-    /// removed edges' derivation cones.
+    /// sets of the *pre-delta* evaluation — on one path: added nodes and
+    /// edges expand monotonically from the seed, and removals then run a
+    /// DRed over-delete/re-derive sweep over the removed edges' derivation
+    /// cones (an insert-only delta simply has an empty removal phase).  The
+    /// returned answer shares the returned seed's start-state row.
     ///
     /// Returns `None` when the seed does not match the DFA, when a removal's
     /// over-delete cone would exceed the engine's configured fraction of the
@@ -427,11 +492,11 @@ fn spell_reach<B: GraphBackend>(
 ///
 /// Wraps [`evaluate`] at `B = CsrGraph` behind the [`DfaEvaluator`] trait;
 /// this is the evaluator every alternative engine is differentially tested
-/// against.  The snapshot is held behind an [`Arc`](std::sync::Arc) so the
+/// against.  The snapshot is held behind an [`Arc`] so the
 /// cache and the evaluator share one copy.
 #[derive(Debug, Clone)]
 pub struct NaiveEvaluator {
-    csr: std::sync::Arc<CsrGraph>,
+    csr: Arc<CsrGraph>,
 }
 
 impl NaiveEvaluator {
@@ -442,11 +507,11 @@ impl NaiveEvaluator {
 
     /// Builds the reference evaluator over an existing snapshot.
     pub fn from_csr(csr: CsrGraph) -> Self {
-        Self::from_shared(std::sync::Arc::new(csr))
+        Self::from_shared(Arc::new(csr))
     }
 
     /// Builds the reference evaluator over a shared snapshot (no copy).
-    pub fn from_shared(csr: std::sync::Arc<CsrGraph>) -> Self {
+    pub fn from_shared(csr: Arc<CsrGraph>) -> Self {
         Self { csr }
     }
 
@@ -657,5 +722,49 @@ mod tests {
         assert!(answer.contains(NodeId::new(2)));
         assert!(!answer.contains(NodeId::new(7)), "out of range is false");
         assert_eq!(answer.nodes(), vec![NodeId::new(0), NodeId::new(2)]);
+    }
+
+    #[test]
+    fn packed_answers_agree_with_flag_references() {
+        for nodes in [0usize, 1, 63, 64, 65, 127, 130, 200] {
+            let flags: Vec<bool> = (0..nodes).map(|i| i % 3 == 0 || i % 7 == 5).collect();
+            let reference = QueryAnswer::from_flags(flags.iter().copied());
+            // Dirty tail bits in the supplied words are masked off.
+            let mut words = vec![0u64; nodes.div_ceil(64)];
+            for (i, _) in flags.iter().enumerate().filter(|(_, &f)| f) {
+                words[i / 64] |= 1 << (i % 64);
+            }
+            if nodes % 64 != 0 {
+                *words.last_mut().unwrap() |= u64::MAX << (nodes % 64);
+            }
+            let packed = QueryAnswer::from_words(nodes, words.into());
+            assert_eq!(packed, reference, "{nodes} nodes");
+            assert_eq!(packed.node_count(), nodes);
+            let expected: Vec<NodeId> =
+                (0..nodes).filter(|&i| flags[i]).map(NodeId::from).collect();
+            assert_eq!(packed.nodes(), expected, "{nodes} nodes");
+            assert_eq!(packed.len(), expected.len(), "{nodes} nodes");
+            assert_eq!(packed.is_empty(), expected.is_empty(), "{nodes} nodes");
+            for i in 0..nodes + 70 {
+                assert_eq!(
+                    packed.contains(NodeId::from(i)),
+                    flags.get(i).copied().unwrap_or(false),
+                    "{nodes} nodes, node {i}"
+                );
+            }
+            // Extension fills the added nodes word-wise and masks the tail.
+            for fill in [false, true] {
+                let grown = packed.extended(nodes + 67, fill);
+                let reference = QueryAnswer::from_flags(
+                    flags.iter().copied().chain(std::iter::repeat_n(fill, 67)),
+                );
+                assert_eq!(grown, reference, "{nodes} nodes, fill {fill}");
+            }
+            assert_ne!(
+                QueryAnswer::none(nodes + 1),
+                QueryAnswer::none(nodes),
+                "node counts differ"
+            );
+        }
     }
 }

@@ -3,7 +3,8 @@
 //!
 //! 1. **Tier-1 carries are free and exact.**  After a publish whose label no
 //!    cached query's DFA alphabet contains, every cached answer is migrated
-//!    verbatim ([`PublishReport::carried_answers`]), the first post-publish
+//!    verbatim ([`PublishReport::carried_answers`]; extended with the
+//!    query's nullability over added nodes), the first post-publish
 //!    read of each query runs **zero frontier rounds**
 //!    (`gps_exec_frontier_rounds_total` is unchanged), and the served
 //!    answers equal a from-scratch evaluation on the new snapshot.
@@ -12,11 +13,11 @@
 //!    fixed point produces exactly the cold-evaluation answers, under every
 //!    [`EvalMode`]; the frontier modes actually take the reseed path.
 //! 3. **Tier-3 delete-reseeds converge.**  Deltas containing removals take
-//!    the delete-aware over-delete/re-derive path in the frontier modes:
-//!    support counts are decremented along removed edges, zero-support
-//!    configurations over-deleted transitively, survivors re-derived — and
-//!    the migrated answers are byte-identical to cold evaluation across
-//!    chained random **mixed** insert+delete epochs.  The naive evaluator
+//!    the over-delete/re-derive phases of the same resume in the frontier
+//!    modes: configurations that lost a derivation are over-deleted
+//!    transitively, those with an alive successor left re-derived — and the
+//!    migrated answers are byte-identical to cold evaluation across chained
+//!    random **mixed** insert+delete epochs.  The naive evaluator
 //!    captures no seed and still recomputes cold, and a saturation budget of
 //!    `0.0` restores the recompute-everything behavior.
 
@@ -157,6 +158,45 @@ fn label_disjoint_publish_carries_answers_with_zero_frontier_rounds() {
     );
     assert_eq!(snapshot.counter("gps_rpq_cache_reseeded_total"), Some(0));
     assert_eq!(snapshot.counter("gps_rpq_cache_fallback_total"), Some(0));
+}
+
+#[test]
+fn label_disjoint_publish_adding_nodes_extends_carried_answers() {
+    // 2 000 nodes end mid-word; 70 added nodes fill that word's tail and
+    // spill into the next, so the word-wise extension covers both cases.
+    let graph = scale_free_graph(2_000);
+    let queries = warm_queries(&graph);
+    for mode in MODES {
+        let service = GpsService::new(Engine::builder(graph.clone()).eval_mode(mode).build_core());
+        warm(&service, &queries);
+        let mut update = GraphUpdate::new();
+        for i in 0..70 {
+            update = update.add_node(format!("fresh{i}"));
+        }
+        let update = update.add_edge("fresh0", "live", "fresh1");
+        let report = service.update(update).unwrap();
+        assert_eq!(report.carried_answers, queries.len(), "{mode:?}");
+        assert_eq!(report.recomputed_answers, 0, "{mode:?}");
+        assert_matches_cold(&service, &queries, &format!("{mode:?}, nodes added"));
+        {
+            let core = service.core();
+            let cache = core.eval_cache();
+            let last = core.snapshot().node_by_name("fresh69").unwrap();
+            for q in &queries {
+                assert_eq!(
+                    cache.evaluate_compiled(q.regex(), q.dfa()).contains(last),
+                    q.regex().nullable(),
+                    "{mode:?}: an added node is selected iff the query is nullable"
+                );
+            }
+        }
+        // The carried seeds still describe the smaller graph; the next
+        // publish touching the alphabet resumes from them.
+        let mut rng = StdRng::seed_from_u64(0xADD5);
+        let update = random_mixed_update(service.core().snapshot(), &mut rng, 0, 2);
+        service.update(update).unwrap();
+        assert_matches_cold(&service, &queries, &format!("{mode:?}, resumed after"));
+    }
 }
 
 #[test]
@@ -484,4 +524,15 @@ fn zero_saturation_budget_disables_the_delete_path() {
         "touched entries recompute cold instead"
     );
     assert_matches_cold(&service, &queries, "zero saturation budget");
+
+    // The budget only gates removals: an insert-only publish still resumes.
+    warm(&service, &queries);
+    let report = service
+        .update(random_insert_update(&graph, &mut rng, 1))
+        .unwrap();
+    assert!(
+        report.reseeded_answers > 0,
+        "budget 0.0 leaves the insert-only resume on"
+    );
+    assert_matches_cold(&service, &queries, "zero budget, insert-only publish");
 }
