@@ -7,28 +7,26 @@
 //! [`CsrGraph`].  At 1M nodes / multi-M edges that intermediate costs
 //! several times the final snapshot's footprint and a full copy at the end.
 //!
-//! [`generate_csr`] produces the **byte-identical** `CsrGraph` (same node
-//! names, label ids, packed offset/entry/edge-id arrays and epoch — asserted
-//! differentially in the test suite) by replaying the exact same seeded RNG
-//! stream twice and emitting edges straight into `CsrGraph::from_raw_parts`
-//! packed arrays:
+//! [`generate_csr`] produces the **identical** `CsrGraph` (same node names,
+//! label ids, keyed adjacency runs and epoch — asserted differentially in
+//! the test suite) by replaying the exact same seeded RNG stream twice and
+//! scattering edges straight into the snapshot's chunked adjacency
+//! ([`gps_graph::Scatter`]):
 //!
-//! * **pass 1** counts per-source and per-target degrees (prefix-summed
-//!   into the forward/reverse offset arrays);
-//! * **pass 2** streams the forward arrays directly — the generator emits
-//!   all of a node's out-edges consecutively in source order, which *is*
-//!   CSR order — and scatters the reverse arrays through a cursor.
+//! * **pass 1** counts per-source and per-target degrees;
+//! * **pass 2** places every edge at its source's forward run and its
+//!   target's reverse run, keyed by its insertion-order id.
 //!
 //! Peak auxiliary memory beyond the final snapshot is the preferential-
-//! attachment endpoint pool (one `u32` per edge endpoint), the offset/cursor
-//! arrays, and a per-node dedup scratch of at most `edges_per_node` entries
+//! attachment endpoint pool (one `u32` per edge endpoint), the per-node
+//! cursor arrays, and a per-node dedup scratch of at most `edges_per_node` entries
 //! — all small multiples of `4 bytes × (nodes + edges)`, versus the
 //! `Graph`'s per-edge records plus two nested adjacency tables plus a second
 //! name table.  The `scale-free-1m` group of `rpq_baseline` measures both
 //! paths with a counting allocator.
 
 use crate::scale_free::{pick_label, ScaleFreeConfig};
-use gps_graph::{CsrEntry, CsrGraph, EdgeId, LabelId, LabelInterner, NodeId};
+use gps_graph::{CsrEntry, CsrGraph, LabelId, LabelInterner, NodeId, Scatter};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -81,65 +79,31 @@ pub fn generate_csr(config: &ScaleFreeConfig) -> CsrGraph {
         .collect();
     let n = config.nodes;
 
-    // Pass 1: degree counting, one slot ahead so the prefix sums leave
-    // offsets[node] = start of its slice.
-    let mut fwd_offsets = vec![0u32; n + 1];
-    let mut rev_offsets = vec![0u32; n + 1];
-    let mut edge_total = 0usize;
+    // Pass 1: degree counting.
+    let mut out_degrees = vec![0u32; n];
+    let mut in_degrees = vec![0u32; n];
     replay(config, &label_ids, |source, _, target| {
-        fwd_offsets[source as usize + 1] += 1;
-        rev_offsets[target as usize + 1] += 1;
-        edge_total += 1;
+        out_degrees[source as usize] += 1;
+        in_degrees[target as usize] += 1;
     });
-    for i in 1..=n {
-        fwd_offsets[i] += fwd_offsets[i - 1];
-        rev_offsets[i] += rev_offsets[i - 1];
-    }
 
-    // Pass 2: forward arrays stream in emission order (the generator emits
-    // all of node i's out-edges consecutively and nodes in id order, which
-    // is exactly CSR layout); reverse arrays scatter through a cursor.
-    // Edge ids are sequential in insertion order, as in a fresh `Graph`.
-    let mut fwd_entries = Vec::with_capacity(edge_total);
-    let mut fwd_edge_ids = Vec::with_capacity(edge_total);
-    let mut rev_entries = vec![
-        CsrEntry {
-            label: LabelId::from(0usize),
-            node: NodeId::from(0usize),
-        };
-        edge_total
-    ];
-    let mut rev_edge_ids = vec![EdgeId::from(0usize); edge_total];
-    let mut rev_cursor = rev_offsets.clone();
+    // Pass 2: every edge to both of its runs; edge ids are sequential in
+    // insertion order, as in a fresh `Graph`.
+    let mut fwd = Scatter::new(out_degrees);
+    let mut rev = Scatter::new(in_degrees);
+    let mut next_id = 0u32;
     replay(config, &label_ids, |source, label, target| {
-        let id = EdgeId::from(fwd_entries.len());
-        fwd_entries.push(CsrEntry {
+        let entry = |node| CsrEntry {
             label,
-            node: NodeId::from(target as usize),
-        });
-        fwd_edge_ids.push(id);
-        let slot = &mut rev_cursor[target as usize];
-        rev_entries[*slot as usize] = CsrEntry {
-            label,
-            node: NodeId::from(source as usize),
+            node: NodeId::new(node),
         };
-        rev_edge_ids[*slot as usize] = id;
-        *slot += 1;
+        fwd.put(source as usize, entry(target), next_id);
+        rev.put(target as usize, entry(source), next_id);
+        next_id += 1;
     });
-    debug_assert_eq!(fwd_entries.len(), edge_total);
 
     let node_names: Vec<String> = (0..n).map(|i| format!("v{i}")).collect();
-    CsrGraph::from_raw_parts(
-        node_names,
-        labels,
-        fwd_offsets,
-        fwd_entries,
-        fwd_edge_ids,
-        rev_offsets,
-        rev_entries,
-        rev_edge_ids,
-        0,
-    )
+    CsrGraph::from_raw_parts(node_names, labels, fwd.finish(), rev.finish(), 0)
 }
 
 #[cfg(test)]
@@ -155,12 +119,8 @@ mod tests {
         for node in reference.nodes() {
             assert_eq!(streamed.node_name(node), reference.node_name(node));
         }
-        assert_eq!(streamed.fwd_offsets(), reference.fwd_offsets());
-        assert_eq!(streamed.fwd_entries(), reference.fwd_entries());
-        assert_eq!(streamed.fwd_edge_ids(), reference.fwd_edge_ids());
-        assert_eq!(streamed.rev_offsets(), reference.rev_offsets());
-        assert_eq!(streamed.rev_entries(), reference.rev_entries());
-        assert_eq!(streamed.rev_edge_ids(), reference.rev_edge_ids());
+        assert_eq!(streamed.forward(), reference.forward());
+        assert_eq!(streamed.reverse(), reference.reverse());
     }
 
     #[test]

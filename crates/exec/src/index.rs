@@ -11,7 +11,10 @@
 //! slice-and-bitset sweeps.
 
 use crate::bitset::FixedBitSet;
-use gps_graph::{CsrGraph, Edge, GraphBackend, GraphDelta, LabelId, LabelStat, LabelStats, NodeId};
+use gps_graph::{
+    Adjacency, CsrGraph, Edge, GraphBackend, GraphDelta, LabelId, LabelStat, LabelStats, NodeId,
+    Scatter,
+};
 use std::collections::BTreeSet;
 use std::sync::{Arc, Mutex};
 
@@ -24,79 +27,46 @@ pub enum Direction {
     Reverse,
 }
 
-/// One label's CSR in one direction: the neighbors of `node` live at
-/// `neighbors[offsets[node] .. offsets[node+1]]`.  Nodes beyond
-/// `offsets.len() - 1` (inserted after the partition was built) have no
-/// neighbors under this label — the bounds check in
-/// [`Partition::neighbors_of`] makes stale coverage safe, which is what lets
-/// [`LabelIndex::apply_delta`] share untouched partitions across epochs.
+/// One label's adjacency in one direction: the neighbors of each node, in
+/// the copy-on-write chunks of [`Adjacency`].  Nodes past the last chunk
+/// (inserted after the partition was built) have no neighbors under this
+/// label, which is what lets [`LabelIndex::apply_delta`] share untouched
+/// partitions across epochs whole, and touched ones chunk by chunk.
 ///
 /// Every constructor also maintains the partition's largest neighbor count
 /// and its number of nodes with any neighbor — the per-label degree
 /// statistics [`LabelIndex::patched_stats`] reads without a scan.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 struct Partition {
-    offsets: Vec<u32>,
-    neighbors: Vec<u32>,
+    adjacency: Adjacency<u32>,
     max_degree: usize,
     occupied_nodes: usize,
 }
 
 impl Partition {
-    /// Zeroed arrays for `edges` pairs over `node_count` nodes, ready for
-    /// [`fill`](Self::fill).
-    fn zeroed(node_count: usize, edges: usize) -> Self {
+    /// Counting-sorts `(from, to)` pairs over `node_count` nodes; each node
+    /// keeps its pairs in order.
+    fn build(node_count: usize, pairs: &[(u32, u32)]) -> Self {
+        let mut degrees = vec![0u32; node_count];
+        for &(from, _) in pairs {
+            degrees[from as usize] += 1;
+        }
+        let max_degree = degrees.iter().copied().max().unwrap_or(0) as usize;
+        let occupied_nodes = degrees.iter().filter(|&&degree| degree > 0).count();
+        let mut scatter = Scatter::new(degrees);
+        for &(from, to) in pairs {
+            scatter.put(from as usize, to, ());
+        }
         Self {
-            offsets: vec![0u32; node_count + 2],
-            neighbors: vec![0u32; edges],
-            ..Self::default()
-        }
-    }
-
-    /// Counting-sorts `edges` into the arrays of [`zeroed`](Self::zeroed);
-    /// each node keeps its pairs in order.
-    fn fill(&mut self, edges: &[(u32, u32)]) {
-        // Count two slots ahead: after the prefix sum `offsets[node + 1]` is
-        // the node's first slot, the fill's cursor.  The fill advances it to
-        // the node's end, leaving all but the last slot the offsets array.
-        for &(from, _) in edges {
-            self.offsets[from as usize + 2] += 1;
-        }
-        // The statistics accumulate in locals: sharded builds fill adjacent
-        // partitions on different threads, and per-node stores into the
-        // structs would contend for their shared cache lines.
-        let (mut max_degree, mut occupied_nodes) = (0, 0);
-        for i in 1..self.offsets.len() {
-            let degree = self.offsets[i] as usize;
-            max_degree = max_degree.max(degree);
-            occupied_nodes += (degree > 0) as usize;
-            self.offsets[i] += self.offsets[i - 1];
-        }
-        (self.max_degree, self.occupied_nodes) = (max_degree, occupied_nodes);
-        for &(from, to) in edges {
-            let slot = &mut self.offsets[from as usize + 1];
-            self.neighbors[*slot as usize] = to;
-            *slot += 1;
-        }
-        self.offsets.pop();
-    }
-
-    /// An empty partition covering `node_count` nodes.
-    fn empty(node_count: usize) -> Self {
-        Self {
-            offsets: vec![0u32; node_count + 1],
-            ..Self::default()
+            adjacency: scatter.finish(),
+            max_degree,
+            occupied_nodes,
         }
     }
 
     #[inline]
     fn neighbors_of(&self, node: usize) -> &[u32] {
-        if node + 1 >= self.offsets.len() {
-            return &[];
-        }
-        let lo = self.offsets[node] as usize;
-        let hi = self.offsets[node + 1] as usize;
-        &self.neighbors[lo..hi]
+        self.adjacency.items(node)
     }
 
     /// This partition with `removals` and `additions` applied — `(from, to)`
@@ -104,58 +74,39 @@ impl Partition {
     /// surviving occurrence.  Additions append in order, or — when
     /// `ascending`, for partitions whose neighbor lists ascend (reverse ones)
     /// and `additions` sorted by `(from, to)` — merge in after equal
-    /// entries, so the result equals a fresh build either way.  Only the
-    /// changed "from" nodes are visited; the runs between them are copied
-    /// wholesale with their offsets shifted, and the degree statistics are
-    /// updated from the changed nodes' old and new degrees (a scan only when
-    /// a node holding the old maximum shrank below it and none reached it).
+    /// entries, so the result equals a fresh build either way.  The
+    /// adjacency is spliced (see [`Adjacency::splice`]): only the chunks
+    /// holding a changed "from" node are copied.  The degree statistics are
+    /// updated from the changed nodes' old and new degrees (a scan only
+    /// when a node holding the old maximum shrank below it and none reached
+    /// it).
     fn patched(
-        old: Option<&Partition>,
-        node_count: usize,
+        old: &Partition,
         mut removals: &[(u32, u32)],
         mut additions: &[(u32, u32)],
         ascending: bool,
     ) -> Self {
-        let empty = Partition::empty(0);
-        let old = old.unwrap_or(&empty);
-        let covered = old.offsets.len() - 1;
-        let mut offsets = Vec::with_capacity(node_count + 1);
-        let mut neighbors = Vec::with_capacity(old.neighbors.len() + additions.len());
-        offsets.push(0u32);
-        // Appends nodes `from..to` unchanged (nodes past the old coverage
-        // have no neighbors).
-        let copy_run =
-            |offsets: &mut Vec<u32>, neighbors: &mut Vec<u32>, from: usize, to: usize| {
-                let stop = to.min(covered);
-                if from < stop {
-                    let (lo, hi) = (old.offsets[from], old.offsets[stop]);
-                    let at = neighbors.len() as u32;
-                    offsets.extend(old.offsets[from + 1..=stop].iter().map(|&o| o - lo + at));
-                    neighbors.extend_from_slice(&old.neighbors[lo as usize..hi as usize]);
-                }
-                offsets.resize(to + 1, neighbors.len() as u32);
-            };
         // Splits `node`'s pairs off the front of `pairs`.
         fn take<'a>(pairs: &mut &'a [(u32, u32)], node: u32) -> &'a [(u32, u32)] {
             let (own, rest) = pairs.split_at(pairs.partition_point(|&(from, _)| from == node));
             *pairs = rest;
             own
         }
+        let mut changed: Vec<usize> = removals
+            .iter()
+            .chain(additions)
+            .map(|&(from, _)| from as usize)
+            .collect();
+        changed.sort_unstable();
+        changed.dedup();
         let mut occupied_nodes = old.occupied_nodes;
         let mut changed_max = 0;
         let mut max_shrank = false;
-        let mut next = 0;
-        while let Some(node) = [removals.first(), additions.first()]
-            .into_iter()
-            .flatten()
-            .map(|&(from, _)| from)
-            .min()
-        {
-            let (removed, added) = (take(&mut removals, node), take(&mut additions, node));
-            let node = node as usize;
-            copy_run(&mut offsets, &mut neighbors, next, node);
-            let start = neighbors.len();
-            let base = old.neighbors_of(node);
+        let adjacency = old.adjacency.splice(&changed, None, |node, base, _, run| {
+            let (removed, added) = (
+                take(&mut removals, node as u32),
+                take(&mut additions, node as u32),
+            );
             let mut pending: Vec<u32> = removed.iter().map(|&(_, to)| to).collect();
             let mut added = added.iter().map(|&(_, to)| to).peekable();
             for &to in base {
@@ -164,38 +115,30 @@ impl Partition {
                     continue;
                 }
                 while let Some(smaller) = added.next_if(|&a| ascending && a < to) {
-                    neighbors.push(smaller);
+                    run.push(smaller, ());
                 }
-                neighbors.push(to);
+                run.push(to, ());
             }
-            neighbors.extend(added);
-            offsets.push(neighbors.len() as u32);
-            let degree = neighbors.len() - start;
+            added.for_each(|to| run.push(to, ()));
+            let degree = run.run_len();
             occupied_nodes = occupied_nodes + (degree > 0) as usize - (!base.is_empty()) as usize;
             changed_max = changed_max.max(degree);
             max_shrank |= base.len() == old.max_degree && degree < base.len();
-            next = node + 1;
-        }
-        copy_run(&mut offsets, &mut neighbors, next, node_count);
+        });
         let max_degree = if max_shrank && changed_max < old.max_degree {
-            offsets
-                .windows(2)
-                .map(|w| (w[1] - w[0]) as usize)
-                .max()
-                .unwrap_or(0)
+            adjacency.max_degree()
         } else {
             changed_max.max(old.max_degree)
         };
         Self {
-            offsets,
-            neighbors,
+            adjacency,
             max_degree,
             occupied_nodes,
         }
     }
 
     fn memory_bytes(&self) -> usize {
-        (self.offsets.len() + self.neighbors.len()) * std::mem::size_of::<u32>()
+        self.adjacency.memory_bytes()
     }
 }
 
@@ -224,13 +167,13 @@ impl DirIndex {
 /// The per-(direction, label) partitions are independent, so the fresh
 /// build can fan out across **shards**: with
 /// [`from_csr_sharded`](Self::from_csr_sharded) set to `n > 1`, up to `n`
-/// scoped threads fill partitions off a shared queue.  The result is
+/// scoped threads build partitions off a shared queue.  The result is
 /// byte-identical to the sequential build regardless of shard count —
 /// every partition's content depends only on its own label's edges, never
 /// on scheduling (the differential suites assert exact equality across
 /// shard counts).  `shards <= 1` spawns no thread.  The delta patch is
-/// sequential: it copies the touched partitions in a few memcpy-sized runs,
-/// which a second thread did not measurably speed up.
+/// sequential: it copies only the touched partitions' changed chunks, which
+/// leaves a second thread nothing to win.
 #[derive(Debug, Clone, Default)]
 pub struct LabelIndex {
     node_count: usize,
@@ -260,8 +203,7 @@ impl LabelIndex {
         Self::from_buckets(graph.node_count(), fwd, rev, 1)
     }
 
-    /// Builds the index from a CSR snapshot via its raw packed arrays (no
-    /// per-node iterator dispatch).
+    /// Builds the index from a CSR snapshot.
     pub fn from_csr(csr: &CsrGraph) -> Self {
         Self::from_csr_sharded(csr, 1)
     }
@@ -272,14 +214,12 @@ impl LabelIndex {
     /// `shards` value.
     pub fn from_csr_sharded(csr: &CsrGraph, shards: usize) -> Self {
         let label_count = csr.label_count();
-        let (offsets, entries) = (csr.fwd_offsets(), csr.fwd_entries());
         let mut fwd = vec![Vec::new(); label_count];
         let mut rev = vec![Vec::new(); label_count];
-        for node in 0..csr.node_count() {
-            let span = offsets[node] as usize..offsets[node + 1] as usize;
-            for entry in &entries[span] {
-                fwd[entry.label.index()].push((node as u32, entry.node.raw()));
-                rev[entry.label.index()].push((entry.node.raw(), node as u32));
+        for node in csr.nodes() {
+            for entry in csr.out(node) {
+                fwd[entry.label.index()].push((node.raw(), entry.node.raw()));
+                rev[entry.label.index()].push((entry.node.raw(), node.raw()));
             }
         }
         Self::from_buckets(csr.node_count(), fwd, rev, shards)
@@ -287,10 +227,9 @@ impl LabelIndex {
 
     /// Builds every (direction, label) partition from its bucket of
     /// `(from, to)` pairs (in forward-adjacency scan order), on up to
-    /// `shards` threads pulling partitions off a shared queue.  The arrays
-    /// are allocated up front on the calling thread and the workers only fill
-    /// them: a partition's content depends only on its own bucket, so the
-    /// index is byte-identical at every shard count.
+    /// `shards` threads pulling partitions off a shared queue.  A
+    /// partition's content depends only on its own bucket, so the index is
+    /// byte-identical at every shard count.
     fn from_buckets(
         node_count: usize,
         fwd: Vec<Vec<(u32, u32)>>,
@@ -299,10 +238,7 @@ impl LabelIndex {
     ) -> Self {
         let label_count = fwd.len();
         let buckets: Vec<&[(u32, u32)]> = fwd.iter().chain(&rev).map(Vec::as_slice).collect();
-        let mut parts: Vec<Partition> = buckets
-            .iter()
-            .map(|bucket| Partition::zeroed(node_count, bucket.len()))
-            .collect();
+        let mut parts: Vec<Option<Partition>> = buckets.iter().map(|_| None).collect();
         let jobs = Mutex::new(parts.iter_mut().zip(&buckets));
         let work = || loop {
             let next = jobs
@@ -310,7 +246,7 @@ impl LabelIndex {
                 .expect("no builder panics holding the queue")
                 .next();
             match next {
-                Some((part, bucket)) => part.fill(bucket),
+                Some((part, bucket)) => *part = Some(Partition::build(node_count, bucket)),
                 None => break,
             }
         };
@@ -320,7 +256,10 @@ impl LabelIndex {
             }
             work();
         });
-        let mut parts: Vec<Arc<Partition>> = parts.into_iter().map(Arc::new).collect();
+        let mut parts: Vec<Arc<Partition>> = parts
+            .into_iter()
+            .map(|part| Arc::new(part.expect("every job ran")))
+            .collect();
         let rev_parts = parts.split_off(label_count);
         Self {
             node_count,
@@ -347,8 +286,8 @@ impl LabelIndex {
         self.label_count
     }
 
-    /// Approximate heap footprint of the index in bytes (the packed offset
-    /// and neighbor arrays of both directions).  Multi-session deployments
+    /// Approximate heap footprint of the index in bytes (the chunked
+    /// neighbor lists of both directions).  Multi-session deployments
     /// report this to show N sessions share **one** index allocation rather
     /// than N copies.  Partitions `Arc`-shared with another epoch's index
     /// are counted in full here (the figure is per-index, not per-fleet).
@@ -385,8 +324,9 @@ impl LabelIndex {
     }
 
     /// Builds the next epoch's index from this one by patching **only** the
-    /// label partitions `delta` touches; untouched labels share their packed
-    /// arrays with this index (`Arc` clone, no copy).
+    /// label partitions `delta` touches; untouched labels share their
+    /// partitions with this index (`Arc` clone, no copy), and touched ones
+    /// share every chunk holding no changed node.
     ///
     /// `node_count` / `label_count` are the merged graph's counts (take them
     /// from the compacted snapshot).  In a forward partition each node's
@@ -394,8 +334,8 @@ impl LabelIndex {
     /// a reverse partition they ascend by source node, the insertions merged
     /// in.  Both match [`from_csr`](Self::from_csr) over that snapshot byte
     /// for byte.  Each touched partition is spliced (see
-    /// `Partition::patched`): only the nodes the delta changes are visited.
-    /// The returned index inherits the shard setting.
+    /// `Partition::patched`): only the chunks of the nodes the delta changes
+    /// are copied.  The returned index inherits the shard setting.
     pub fn apply_delta(
         &self,
         delta: &GraphDelta,
@@ -435,17 +375,17 @@ impl LabelIndex {
         for (label, slot) in label_edge_counts.iter_mut().enumerate() {
             let known = label < self.label_count;
             if touched.contains(&LabelId::from(label)) {
+                let empty = Partition::default();
                 let patch = |old: &DirIndex, reverse: bool| {
                     Arc::new(Partition::patched(
-                        known.then(|| old.parts[label].as_ref()),
-                        node_count,
+                        if known { &old.parts[label] } else { &empty },
                         &changes(&delta.removed_edges, label, reverse),
                         &changes(&delta.added_edges, label, reverse),
                         reverse,
                     ))
                 };
                 let fwd = patch(&self.fwd, false);
-                *slot = fwd.neighbors.len();
+                *slot = fwd.adjacency.len();
                 fwd_parts.push(fwd);
                 rev_parts.push(patch(&self.rev, true));
             } else if known {
@@ -454,8 +394,8 @@ impl LabelIndex {
                 *slot = self.label_edge_counts[label];
             } else {
                 // A label interned without edges: nothing to patch.
-                fwd_parts.push(Arc::new(Partition::empty(node_count)));
-                rev_parts.push(Arc::new(Partition::empty(node_count)));
+                fwd_parts.push(Arc::default());
+                rev_parts.push(Arc::default());
             }
         }
         LabelIndex {
@@ -485,7 +425,7 @@ impl LabelIndex {
                         let rev = self.rev.parts[index].as_ref();
                         LabelStat {
                             label,
-                            edge_count: fwd.neighbors.len(),
+                            edge_count: fwd.adjacency.len(),
                             frequency: 0.0,
                             max_out_degree: fwd.max_degree,
                             max_in_degree: rev.max_degree,
@@ -648,9 +588,19 @@ mod tests {
 
     #[test]
     fn apply_delta_matches_a_fresh_build_and_shares_untouched_partitions() {
-        use gps_graph::{CsrGraph, DeltaGraph};
+        use gps_graph::{CsrGraph, DeltaGraph, CHUNK_NODES};
 
-        let g = sample();
+        // The sample's a, b, c, then enough x- and y-edges to span three
+        // chunks in both directions.
+        let mut g = sample();
+        let n = 3 * CHUNK_NODES;
+        for i in 3..n {
+            g.add_node(format!("v{i}"));
+        }
+        for i in 3..n {
+            let next = NodeId::from((i * 7 + 1) % n);
+            g.add_edge_by_name(NodeId::from(i), ["x", "y"][i % 2], next);
+        }
         let base = std::sync::Arc::new(CsrGraph::from_graph(&g));
         let old = LabelIndex::from_csr(&base);
 
@@ -690,16 +640,34 @@ mod tests {
                 }
             }
         }
-        // The untouched label `y` shares its packed arrays with the old index.
+        // The untouched label `y` shares its partitions with the old index
+        // whole.
         let y = g.label_id("y").unwrap();
-        assert!(std::sync::Arc::ptr_eq(
-            &patched.fwd.parts[y.index()],
-            &old.fwd.parts[y.index()]
-        ));
-        assert!(!std::sync::Arc::ptr_eq(
-            &patched.fwd.parts[x.index()],
-            &old.fwd.parts[x.index()]
-        ));
+        for (new, old) in [(&patched.fwd, &old.fwd), (&patched.rev, &old.rev)] {
+            assert!(std::sync::Arc::ptr_eq(
+                &new.parts[y.index()],
+                &old.parts[y.index()]
+            ));
+        }
+        // The touched label `x` shares exactly the chunks holding no
+        // changed node: forward the sources a and c, reverse the targets b
+        // and d.  (Node d opens a reverse chunk 3, which the old index
+        // lacks.)
+        for (new, old, changed) in [
+            (&patched.fwd, &old.fwd, [a, c]),
+            (&patched.rev, &old.rev, [b, d]),
+        ] {
+            let (new, old) = (
+                &new.parts[x.index()].adjacency,
+                &old.parts[x.index()].adjacency,
+            );
+            let opened = changed.iter().map(|v| v.index() / CHUNK_NODES + 1).max();
+            assert_eq!(new.chunk_count(), opened.unwrap().max(old.chunk_count()));
+            for chunk in 0..new.chunk_count() {
+                let touched = changed.iter().any(|v| v.index() / CHUNK_NODES == chunk);
+                assert_eq!(new.shares_chunk(old, chunk), !touched, "chunk {chunk}");
+            }
+        }
 
         // Patched statistics agree with a full recompute on the merged graph.
         let old_stats = gps_graph::LabelStats::compute(&g);

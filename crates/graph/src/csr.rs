@@ -1,26 +1,44 @@
 //! Immutable compressed-sparse-row (CSR) snapshot of a graph.
 //!
 //! The interactive loop and the RPQ evaluator traverse the graph heavily and
-//! never mutate it.  [`CsrGraph`] packs the adjacency into flat arrays
-//! (offsets + `(label, target)` pairs) for cache-friendly scans, keeps a
-//! reverse CSR for backward traversals used by the evaluator's fixed point,
-//! and — since it implements [`GraphBackend`] — serves as a first-class
-//! drop-in store for every query layer: RPQ evaluation, neighborhoods, path
-//! enumeration, learning and interactive sessions all run directly on the
-//! snapshot.
+//! never mutate it.  [`CsrGraph`] packs each node's adjacency into one
+//! contiguous run of `(label, node)` entries — forward and reverse, in the
+//! copy-on-write chunks of [`crate::adjacency`], so a publish shares every
+//! chunk it does not change with the previous epoch — and, since it
+//! implements [`GraphBackend`], serves as a first-class drop-in store for
+//! every query layer: RPQ evaluation, neighborhoods, path enumeration,
+//! learning and interactive sessions all run directly on the snapshot.
 //!
 //! The snapshot carries the node names and the label interner of its source
 //! so rendering and query parsing work against it (the name table is
 //! `Arc`-shared with the snapshot's successor epochs, see
-//! [`crate::names`]); the original edge
-//! identifiers are preserved per adjacency entry so neighborhood extraction
-//! and zoom deltas agree exactly with the mutable [`Graph`] backend.
+//! [`crate::names`]).
+//!
+//! ## Edge keys
+//!
+//! Every entry stores a stable edge *key*, not its edge id.  A fresh build
+//! keys each edge by its id; a publish keeps the surviving keys, gives the
+//! surviving inserts fresh keys above every key given out before, in
+//! insertion order, and records the deleted keys in a sorted, `Arc`-shared
+//! dead list.  The public
+//! [`EdgeId`] of a key is `key − |dead keys below key|`: exactly the dense id
+//! a from-scratch build assigns (surviving edges in base order, then
+//! inserts), because that renumbering preserves relative order.  Once the
+//! dead list outgrows `1 / REKEY_DIVISOR` of the live edges, a publish
+//! re-keys every entry by its id and empties the list, so re-keys cost
+//! amortized O(1) per deletion and keys never overflow.
 
+use crate::adjacency::{Adjacency, Scatter};
 use crate::backend::GraphBackend;
 use crate::graph::{Edge, Graph};
 use crate::ids::{EdgeId, LabelId, NodeId};
 use crate::labels::LabelInterner;
 use crate::names::NodeNames;
+use std::sync::Arc;
+
+/// A publish re-keys once the dead list would hold more than
+/// `1 / REKEY_DIVISOR` of the live edges (the name-table fold rule).
+pub(crate) const REKEY_DIVISOR: usize = 64;
 
 /// One packed adjacency entry: the label of an edge and its other endpoint.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -31,19 +49,32 @@ pub struct CsrEntry {
     pub node: NodeId,
 }
 
+/// The placeholder a [`Scatter`] fills before placing the real entries.
+impl Default for CsrEntry {
+    fn default() -> Self {
+        Self {
+            label: LabelId::new(0),
+            node: NodeId::new(0),
+        }
+    }
+}
+
+/// One direction's entries, each keyed by its edge key.
+pub type CsrAdjacency = Adjacency<CsrEntry, u32>;
+
 /// An immutable CSR snapshot with both forward and reverse adjacency.
 #[derive(Debug, Clone, Default)]
 pub struct CsrGraph {
     names: NodeNames,
     labels: LabelInterner,
-    fwd_offsets: Vec<u32>,
-    fwd_entries: Vec<CsrEntry>,
-    /// Original edge id of each forward entry (aligned with `fwd_entries`).
-    fwd_edge_ids: Vec<EdgeId>,
-    rev_offsets: Vec<u32>,
-    rev_entries: Vec<CsrEntry>,
-    /// Original edge id of each reverse entry (aligned with `rev_entries`).
-    rev_edge_ids: Vec<EdgeId>,
+    /// Outgoing `(label, target)` entries per source node.
+    fwd: CsrAdjacency,
+    /// Incoming `(label, source)` entries per target node.
+    rev: CsrAdjacency,
+    /// Keys deleted since the last re-key, ascending (see the module docs).
+    dead: Arc<[u32]>,
+    /// One past the largest key ever given out since the last re-key.
+    next_key: u32,
     /// Version stamp of the snapshot.  Snapshots built directly from a
     /// backend inherit the backend's epoch (0 for fresh builds);
     /// [`crate::delta::DeltaGraph::compact`] stamps its output with the base
@@ -58,86 +89,86 @@ impl CsrGraph {
         Self::from_backend(graph)
     }
 
-    /// Builds a CSR snapshot from any backend.
+    /// Builds a CSR snapshot from any backend, keying each entry by its
+    /// edge id.
     pub fn from_backend<B: GraphBackend>(backend: &B) -> Self {
-        let n = backend.node_count();
-        let m = backend.edge_count();
-
         let names = NodeNames::new(
             backend
                 .nodes()
                 .map(|node| backend.node_name(node).to_string())
                 .collect(),
         );
-
-        let mut fwd_offsets = Vec::with_capacity(n + 1);
-        let mut fwd_entries = Vec::with_capacity(m);
-        let mut fwd_edge_ids = Vec::with_capacity(m);
-        fwd_offsets.push(0);
-        for node in backend.nodes() {
-            for (edge_id, edge) in backend.out_edges(node) {
-                fwd_entries.push(CsrEntry {
-                    label: edge.label,
-                    node: edge.target,
-                });
-                fwd_edge_ids.push(edge_id);
-            }
-            fwd_offsets.push(fwd_entries.len() as u32);
-        }
-
-        let mut rev_offsets = Vec::with_capacity(n + 1);
-        let mut rev_entries = Vec::with_capacity(m);
-        let mut rev_edge_ids = Vec::with_capacity(m);
-        rev_offsets.push(0);
-        for node in backend.nodes() {
-            for (edge_id, edge) in backend.in_edges(node) {
-                rev_entries.push(CsrEntry {
-                    label: edge.label,
-                    node: edge.source,
-                });
-                rev_edge_ids.push(edge_id);
-            }
-            rev_offsets.push(rev_entries.len() as u32);
-        }
-
+        // One direction at a time, so only one degree array is alive.
+        let fwd = keyed_runs(
+            backend,
+            |v| backend.out_degree(v),
+            |v| backend.out_edges(v),
+            false,
+        );
+        let rev = keyed_runs(
+            backend,
+            |v| backend.in_degree(v),
+            |v| backend.in_edges(v),
+            true,
+        );
+        let next_key = backend
+            .nodes()
+            .flat_map(|node| fwd.run(node.index()).1)
+            .map(|&key| key + 1)
+            .max()
+            .unwrap_or(0);
         Self {
             names,
             labels: backend.labels().clone(),
-            fwd_offsets,
-            fwd_entries,
-            fwd_edge_ids,
-            rev_offsets,
-            rev_entries,
-            rev_edge_ids,
+            fwd,
+            rev,
+            dead: Arc::default(),
+            next_key,
             epoch: backend.epoch(),
         }
     }
 
-    /// Assembles a snapshot directly from pre-built packed arrays (the
-    /// delta-graph compaction path).  The caller guarantees the arrays are
-    /// mutually consistent — exactly what [`Self::from_backend`] would have
-    /// produced for the merged graph.
-    #[allow(clippy::too_many_arguments)]
+    /// Assembles a snapshot from both directions' adjacency — the seam of
+    /// builders that stream their edges (the streamed corpus generator and
+    /// the checkpoint decoder).  Each entry's key is its edge id.  The name
+    /// index is rebuilt first-bearer from the node names; the caller
+    /// guarantees the directions are mutually consistent (the reverse one
+    /// the forward one's transpose, ids a permutation of
+    /// `0..edge_count`), exactly what a live snapshot's accessors expose.
+    pub fn from_raw_parts(
+        node_names: Vec<String>,
+        labels: LabelInterner,
+        fwd: CsrAdjacency,
+        rev: CsrAdjacency,
+        epoch: u64,
+    ) -> Self {
+        debug_assert_eq!(fwd.len(), rev.len(), "both directions hold every edge");
+        Self {
+            names: NodeNames::new(node_names),
+            labels,
+            next_key: fwd.len() as u32,
+            fwd,
+            rev,
+            dead: Arc::default(),
+            epoch,
+        }
+    }
+
+    /// Assembles a compacted snapshot (the delta-graph publish path).
     pub(crate) fn from_parts(
         names: NodeNames,
         labels: LabelInterner,
-        fwd_offsets: Vec<u32>,
-        fwd_entries: Vec<CsrEntry>,
-        fwd_edge_ids: Vec<EdgeId>,
-        rev_offsets: Vec<u32>,
-        rev_entries: Vec<CsrEntry>,
-        rev_edge_ids: Vec<EdgeId>,
+        (fwd, rev): (CsrAdjacency, CsrAdjacency),
+        (dead, next_key): (Arc<[u32]>, u32),
         epoch: u64,
     ) -> Self {
         Self {
             names,
             labels,
-            fwd_offsets,
-            fwd_entries,
-            fwd_edge_ids,
-            rev_offsets,
-            rev_entries,
-            rev_edge_ids,
+            fwd,
+            rev,
+            dead,
+            next_key,
             epoch,
         }
     }
@@ -161,7 +192,7 @@ impl CsrGraph {
 
     /// Number of edges in the snapshot.
     pub fn edge_count(&self) -> usize {
-        self.fwd_entries.len()
+        self.fwd.len()
     }
 
     /// Alphabet size of the underlying graph at snapshot time.
@@ -195,19 +226,13 @@ impl CsrGraph {
     /// Outgoing `(label, target)` entries of `node` as a contiguous slice.
     #[inline]
     pub fn out(&self, node: NodeId) -> &[CsrEntry] {
-        let i = node.index();
-        let lo = self.fwd_offsets[i] as usize;
-        let hi = self.fwd_offsets[i + 1] as usize;
-        &self.fwd_entries[lo..hi]
+        self.fwd.items(node.index())
     }
 
     /// Incoming `(label, source)` entries of `node` as a contiguous slice.
     #[inline]
     pub fn inc(&self, node: NodeId) -> &[CsrEntry] {
-        let i = node.index();
-        let lo = self.rev_offsets[i] as usize;
-        let hi = self.rev_offsets[i + 1] as usize;
-        &self.rev_entries[lo..hi]
+        self.rev.items(node.index())
     }
 
     /// Out-degree of `node`.
@@ -222,78 +247,29 @@ impl CsrGraph {
         self.inc(node).len()
     }
 
-    /// The raw forward offset array (`node_count + 1` entries): node `i`'s
-    /// outgoing entries live at `fwd_entries()[offsets[i]..offsets[i+1]]`.
-    ///
-    /// Exposed so bulk evaluators (the `gps-exec` frontier engine) can build
-    /// derived indexes with flat array sweeps instead of per-node iterators.
-    #[inline]
-    pub fn fwd_offsets(&self) -> &[u32] {
-        &self.fwd_offsets
+    /// The forward adjacency: per source node, its `(label, target)`
+    /// entries keyed by edge key.
+    pub fn forward(&self) -> &CsrAdjacency {
+        &self.fwd
     }
 
-    /// The raw forward adjacency entries, grouped by source node.
-    #[inline]
-    pub fn fwd_entries(&self) -> &[CsrEntry] {
-        &self.fwd_entries
+    /// The reverse adjacency: per target node, its `(label, source)`
+    /// entries keyed by edge key.
+    pub fn reverse(&self) -> &CsrAdjacency {
+        &self.rev
     }
 
-    /// The raw reverse offset array (`node_count + 1` entries).
+    /// The public id of the edge keyed `key` (see the module docs).
     #[inline]
-    pub fn rev_offsets(&self) -> &[u32] {
-        &self.rev_offsets
+    pub(crate) fn edge_id(&self, key: u32) -> EdgeId {
+        EdgeId::new(key - self.dead.partition_point(|&dead| dead < key) as u32)
     }
 
-    /// The raw reverse adjacency entries, grouped by target node.
-    #[inline]
-    pub fn rev_entries(&self) -> &[CsrEntry] {
-        &self.rev_entries
-    }
-
-    /// Original edge ids of the forward entries (aligned with
-    /// [`fwd_entries`](Self::fwd_entries)) — the serialization seam used by
-    /// checkpoint writers.
-    #[inline]
-    pub fn fwd_edge_ids(&self) -> &[EdgeId] {
-        &self.fwd_edge_ids
-    }
-
-    /// Original edge ids of the reverse entries (aligned with
-    /// [`rev_entries`](Self::rev_entries)).
-    #[inline]
-    pub fn rev_edge_ids(&self) -> &[EdgeId] {
-        &self.rev_edge_ids
-    }
-
-    /// Assembles a snapshot from raw packed arrays — the checkpoint
-    /// *deserialization* seam.  The name index is rebuilt first-bearer from
-    /// the node names; the caller guarantees the arrays are mutually
-    /// consistent (offsets monotone and spanning the entry arrays, entry
-    /// ids within bounds), exactly what the public accessors of a live
-    /// snapshot expose.
-    #[allow(clippy::too_many_arguments)]
-    pub fn from_raw_parts(
-        node_names: Vec<String>,
-        labels: LabelInterner,
-        fwd_offsets: Vec<u32>,
-        fwd_entries: Vec<CsrEntry>,
-        fwd_edge_ids: Vec<EdgeId>,
-        rev_offsets: Vec<u32>,
-        rev_entries: Vec<CsrEntry>,
-        rev_edge_ids: Vec<EdgeId>,
-        epoch: u64,
-    ) -> Self {
-        Self {
-            names: NodeNames::new(node_names),
-            labels,
-            fwd_offsets,
-            fwd_entries,
-            fwd_edge_ids,
-            rev_offsets,
-            rev_entries,
-            rev_edge_ids,
-            epoch,
-        }
+    /// Every key's edge id, indexed by key (dead keys map to `u32::MAX`):
+    /// one pass over the key space instead of a search per key, for walks
+    /// over the whole graph.
+    pub fn edge_ids_by_key(&self) -> Vec<u32> {
+        renumbering(&self.dead, self.next_key)
     }
 
     /// The node-name table, shared with the delta overlay and extended (not
@@ -303,31 +279,68 @@ impl CsrGraph {
         &self.names
     }
 
-    /// Original edge ids of `node`'s outgoing entries (aligned with
-    /// [`out`](Self::out)).
-    #[inline]
-    pub(crate) fn out_ids(&self, node: NodeId) -> &[EdgeId] {
-        &self.fwd_edge_ids[self.fwd_range(node)]
+    /// The dead keys, ascending, and the next key to give out.
+    pub(crate) fn keyspace(&self) -> (&Arc<[u32]>, u32) {
+        (&self.dead, self.next_key)
     }
 
-    /// Original edge ids of `node`'s incoming entries (aligned with
-    /// [`inc`](Self::inc)).
-    #[inline]
-    pub(crate) fn inc_ids(&self, node: NodeId) -> &[EdgeId] {
-        &self.rev_edge_ids[self.rev_range(node)]
+    fn incident(&self, node: NodeId, reverse: bool) -> CsrIncidentEdges<'_> {
+        let (entries, keys) = if reverse {
+            self.rev.run(node.index())
+        } else {
+            self.fwd.run(node.index())
+        };
+        CsrIncidentEdges {
+            entries: entries.iter(),
+            keys: keys.iter(),
+            graph: self,
+            pivot: node,
+            reverse,
+        }
     }
+}
 
-    #[inline]
-    fn fwd_range(&self, node: NodeId) -> std::ops::Range<usize> {
-        let i = node.index();
-        self.fwd_offsets[i] as usize..self.fwd_offsets[i + 1] as usize
+/// One direction of [`CsrGraph::from_backend`]: each node's incident edges
+/// (`(label, other end)` entries), keyed by edge id.
+fn keyed_runs<B, I>(
+    backend: &B,
+    degree: impl Fn(NodeId) -> usize,
+    incident: impl Fn(NodeId) -> I,
+    reverse: bool,
+) -> CsrAdjacency
+where
+    B: GraphBackend,
+    I: Iterator<Item = (EdgeId, Edge)>,
+{
+    let mut scatter = Scatter::new(backend.nodes().map(|v| degree(v) as u32).collect());
+    for node in backend.nodes() {
+        for (id, edge) in incident(node) {
+            let other = if reverse { edge.source } else { edge.target };
+            let entry = CsrEntry {
+                label: edge.label,
+                node: other,
+            };
+            scatter.put(node.index(), entry, id.raw());
+        }
     }
+    scatter.finish()
+}
 
-    #[inline]
-    fn rev_range(&self, node: NodeId) -> std::ops::Range<usize> {
-        let i = node.index();
-        self.rev_offsets[i] as usize..self.rev_offsets[i + 1] as usize
-    }
+/// Each key below `next_key` mapped to its edge id, `key − |dead keys below
+/// it|` (the dead keys themselves to `u32::MAX`).
+pub(crate) fn renumbering(dead: &[u32], next_key: u32) -> Vec<u32> {
+    let mut dead = dead.iter().copied().peekable();
+    let mut below = 0;
+    (0..next_key)
+        .map(|key| {
+            if dead.next_if_eq(&key).is_some() {
+                below += 1;
+                u32::MAX
+            } else {
+                key - below
+            }
+        })
+        .collect()
 }
 
 impl From<&Graph> for CsrGraph {
@@ -360,7 +373,8 @@ impl<'a> ExactSizeIterator for CsrNeighbors<'a> {}
 /// full edge records from the pivot node.
 pub struct CsrIncidentEdges<'a> {
     entries: std::slice::Iter<'a, CsrEntry>,
-    ids: std::slice::Iter<'a, EdgeId>,
+    keys: std::slice::Iter<'a, u32>,
+    graph: &'a CsrGraph,
     pivot: NodeId,
     reverse: bool,
 }
@@ -371,13 +385,13 @@ impl<'a> Iterator for CsrIncidentEdges<'a> {
     #[inline]
     fn next(&mut self) -> Option<(EdgeId, Edge)> {
         let entry = self.entries.next()?;
-        let id = *self.ids.next().expect("edge ids aligned with entries");
+        let key = *self.keys.next().expect("edge keys aligned with entries");
         let edge = if self.reverse {
             Edge::new(entry.node, entry.label, self.pivot)
         } else {
             Edge::new(self.pivot, entry.label, entry.node)
         };
-        Some((id, edge))
+        Some((self.graph.edge_id(key), edge))
     }
 
     fn size_hint(&self) -> (usize, Option<usize>) {
@@ -424,23 +438,11 @@ impl GraphBackend for CsrGraph {
     }
 
     fn out_edges(&self, node: NodeId) -> CsrIncidentEdges<'_> {
-        let range = self.fwd_range(node);
-        CsrIncidentEdges {
-            entries: self.fwd_entries[range.clone()].iter(),
-            ids: self.fwd_edge_ids[range].iter(),
-            pivot: node,
-            reverse: false,
-        }
+        self.incident(node, false)
     }
 
     fn in_edges(&self, node: NodeId) -> CsrIncidentEdges<'_> {
-        let range = self.rev_range(node);
-        CsrIncidentEdges {
-            entries: self.rev_entries[range.clone()].iter(),
-            ids: self.rev_edge_ids[range].iter(),
-            pivot: node,
-            reverse: true,
-        }
+        self.incident(node, true)
     }
 
     fn out_degree(&self, node: NodeId) -> usize {
@@ -550,21 +552,18 @@ mod tests {
     }
 
     #[test]
-    fn raw_accessors_expose_the_packed_arrays() {
+    fn adjacency_accessors_expose_the_keyed_runs() {
         let (g, n) = diamond();
         let csr = CsrGraph::from_graph(&g);
-        assert_eq!(csr.fwd_offsets().len(), csr.node_count() + 1);
-        assert_eq!(csr.rev_offsets().len(), csr.node_count() + 1);
-        assert_eq!(csr.fwd_entries().len(), csr.edge_count());
-        assert_eq!(csr.rev_entries().len(), csr.edge_count());
-        // The slices agree with the per-node views.
-        let lo = csr.fwd_offsets()[n[0].index()] as usize;
-        let hi = csr.fwd_offsets()[n[0].index() + 1] as usize;
-        assert_eq!(&csr.fwd_entries()[lo..hi], csr.out(n[0]));
-        assert_eq!(
-            *csr.fwd_offsets().last().unwrap() as usize,
-            csr.edge_count()
-        );
+        assert_eq!(csr.forward().len(), csr.edge_count());
+        assert_eq!(csr.reverse().len(), csr.edge_count());
+        // The runs agree with the per-node views; a fresh build keys every
+        // entry by its edge id.
+        let (entries, keys) = csr.forward().run(n[0].index());
+        assert_eq!(entries, csr.out(n[0]));
+        let ids: Vec<EdgeId> = g.out_edges(n[0]).map(|(id, _)| id).collect();
+        let keyed: Vec<EdgeId> = keys.iter().map(|&key| csr.edge_id(key)).collect();
+        assert_eq!(keyed, ids);
     }
 
     #[test]

@@ -6,12 +6,12 @@
 //! nodes, inserted edges, and tombstones for deleted edges — over a shared
 //! `Arc<CsrGraph>` base, and implements [`GraphBackend`] so the staged state
 //! is queryable before it is published.  [`DeltaGraph::compact`] splices the
-//! overlay into a fresh snapshot: runs of untouched nodes are copied from the
-//! base's packed arrays wholesale, only the nodes the overlay changed are
-//! rebuilt, and the node-name table is extended rather than copied.  The
-//! result is byte-for-byte the snapshot a from-scratch [`Graph`] →
-//! [`CsrGraph`] build of the surviving edges would have produced, stamped
-//! with the next [`epoch`](CsrGraph::epoch).
+//! overlay into a fresh snapshot: only the adjacency chunks holding a node
+//! the overlay changed are rebuilt, every other chunk is shared with the
+//! base, and the node-name table is extended rather than copied.  The
+//! result reads exactly as the snapshot a from-scratch [`Graph`] →
+//! [`CsrGraph`] build of the surviving edges would, stamped with the next
+//! [`epoch`](CsrGraph::epoch).
 //!
 //! The overlay is the unit writers stage: a service accumulates
 //! [`UpdateOp`]s into a `DeltaGraph` and publishes the compacted snapshot,
@@ -22,12 +22,14 @@
 //! Node identifiers are stable across compaction (nodes are never deleted;
 //! inserted nodes extend the dense id space).  Edge identifiers are *not*:
 //! inside the overlay, base edges keep their base ids and inserted edges are
-//! numbered from `base.edge_count()`, but `compact` renumbers the surviving
-//! edges densely in (base order, then insertion order) — exactly the ids a
-//! from-scratch rebuild assigns.
+//! numbered from `base.edge_count()`, but after `compact` the surviving
+//! edges read densely numbered in (base order, then insertion order) —
+//! exactly the ids a from-scratch rebuild assigns.  `compact` gets there
+//! without renumbering the edge set: the snapshot keys its entries by
+//! stable edge keys (see [`crate::csr`]).
 
 use crate::backend::GraphBackend;
-use crate::csr::{CsrEntry, CsrGraph};
+use crate::csr::{renumbering, CsrAdjacency, CsrEntry, CsrGraph, REKEY_DIVISOR};
 use crate::graph::Edge;
 use crate::ids::{EdgeId, LabelId, NodeId};
 use crate::labels::LabelInterner;
@@ -157,8 +159,8 @@ pub struct DeltaGraph {
     added_out: BTreeMap<NodeId, Vec<usize>>,
     /// Overlay in-adjacency: indices into `added_edges`, per target node.
     added_in: BTreeMap<NodeId, Vec<usize>>,
-    /// Deleted base edges, keyed by their base edge id.
-    tombstones: BTreeMap<EdgeId, Edge>,
+    /// Deleted base edges, by their base edge key.
+    tombstones: BTreeMap<u32, Edge>,
 }
 
 impl DeltaGraph {
@@ -239,17 +241,12 @@ impl DeltaGraph {
     /// base occurrence, else the earliest surviving overlay occurrence.
     /// Returns `false` when no such edge survives.
     pub fn remove_edge(&mut self, source: NodeId, label: LabelId, target: NodeId) -> bool {
-        if source.index() < self.base.node_count() {
-            let entries = self.base.out(source);
-            let ids = self.base.out_ids(source);
-            for (entry, &id) in entries.iter().zip(ids) {
-                if entry.label == label
-                    && entry.node == target
-                    && !self.tombstones.contains_key(&id)
-                {
-                    self.tombstones.insert(id, Edge::new(source, label, target));
-                    return true;
-                }
+        let (entries, keys) = self.base.forward().run(source.index());
+        for (entry, &key) in entries.iter().zip(keys) {
+            if entry.label == label && entry.node == target && !self.tombstones.contains_key(&key) {
+                self.tombstones
+                    .insert(key, Edge::new(source, label, target));
+                return true;
             }
         }
         if let Some(indices) = self.added_out.get(&source) {
@@ -334,68 +331,83 @@ impl DeltaGraph {
 
     /// Merges the overlay into a fresh snapshot stamped `base.epoch() + 1`.
     ///
-    /// The result is byte-identical to snapshotting a from-scratch [`Graph`]
-    /// holding the surviving edges (base edges in base order, then overlay
-    /// insertions) — `tests/mvcc_conformance.rs` proves this over random
-    /// update sequences.  The work is a memcpy-style splice: per direction,
-    /// the runs of nodes between the sorted changed nodes are copied with one
-    /// `extend_from_slice` each, and only the changed nodes are rebuilt.
+    /// The result reads exactly as a from-scratch [`Graph`] holding the
+    /// surviving edges (base edges in base order, then overlay insertions)
+    /// — adjacency order and edge ids, both directions;
+    /// `tests/mvcc_conformance.rs` proves this over random update
+    /// sequences.  The work is a copy-on-write splice: per direction, the
+    /// chunks holding a changed node are rebuilt and every other chunk is
+    /// shared with the base.  Surviving inserts are keyed from the base's
+    /// next key on and the deleted keys join the dead list, unless the list
+    /// would outgrow `1 / REKEY_DIVISOR` of the live edges: then the same
+    /// splice re-keys every entry by its edge id and the list empties.
     pub fn compact(&self) -> CsrGraph {
         let base = self.base.as_ref();
-
-        // Dense renumbering: surviving base edges in base-id order, filled
-        // range by range between the sorted tombstone ids (u32::MAX marks a
-        // deleted edge), then surviving overlay edges in insertion order.
-        let mut renumber: Vec<u32> = Vec::with_capacity(base.edge_count() + 1);
-        let mut next = 0u32;
-        let deleted = self.tombstones.keys().map(|id| id.index());
-        for dead in deleted.chain([base.edge_count()]) {
-            let survivors = (dead - renumber.len()) as u32;
-            renumber.extend(next..next + survivors);
-            renumber.push(u32::MAX);
-            next += survivors;
-        }
-        renumber.pop();
-        let overlay_ids: Vec<u32> = self
+        let (dead, base_next_key) = base.keyspace();
+        let dead = if self.tombstones.is_empty() {
+            Arc::clone(dead)
+        } else {
+            merge_sorted(dead, self.tombstones.keys().copied())
+        };
+        let edge_count = self.edge_count();
+        let rekey = dead.len() * REKEY_DIVISOR > edge_count;
+        // After a re-key every key is its edge id, and the inserts' ids
+        // follow the surviving base edges'.
+        let first_insert = if rekey {
+            base_next_key - dead.len() as u32
+        } else {
+            base_next_key
+        };
+        let mut live_inserts = 0;
+        let insert_keys: Vec<u32> = self
             .added_alive
             .iter()
             .map(|&alive| {
-                let id = next;
-                next += alive as u32;
-                id
+                let key = first_insert + live_inserts;
+                live_inserts += alive as u32;
+                key
             })
             .collect();
-        let fwd = self.splice(false, &renumber, &overlay_ids);
-        let rev = self.splice(true, &renumber, &overlay_ids);
+        let next_key = first_insert + live_inserts;
+        let adjacency = if rekey {
+            let renumber = renumbering(&dead, base_next_key);
+            let rekey = |key: u32| renumber[key as usize];
+            (
+                self.splice(false, &insert_keys, Some(&rekey)),
+                self.splice(true, &insert_keys, Some(&rekey)),
+            )
+        } else {
+            (
+                self.splice(false, &insert_keys, None),
+                self.splice(true, &insert_keys, None),
+            )
+        };
+        let dead = if rekey { Arc::default() } else { dead };
         CsrGraph::from_parts(
             base.names().extended(&self.added_names),
             self.labels.clone(),
-            fwd.offsets,
-            fwd.entries,
-            fwd.ids,
-            rev.offsets,
-            rev.entries,
-            rev.ids,
+            adjacency,
+            (dead, next_key),
             base.epoch() + 1,
         )
     }
 
-    /// One direction of [`compact`](Self::compact): sorts the nodes the
-    /// overlay changed, copies the base's runs of nodes between them
-    /// wholesale (offsets shifted, edge ids renumbered) and rebuilds each
-    /// changed node from its surviving base entries plus its live overlay
-    /// edges.
-    fn splice(&self, reverse: bool, renumber: &[u32], overlay_ids: &[u32]) -> Packed {
-        let base = self.base.as_ref();
-        let (base_offsets, base_entries, base_ids, overlay) = if reverse {
-            let ids = base.rev_edge_ids();
-            (base.rev_offsets(), base.rev_entries(), ids, &self.added_in)
+    /// One direction of [`compact`](Self::compact): the base adjacency
+    /// spliced with each changed node's run rebuilt from its surviving
+    /// base entries plus its live overlay edges.
+    fn splice(
+        &self,
+        reverse: bool,
+        insert_keys: &[u32],
+        rekey: Option<&dyn Fn(u32) -> u32>,
+    ) -> CsrAdjacency {
+        let (old, overlay) = if reverse {
+            (self.base.reverse(), &self.added_in)
         } else {
-            let ids = base.fwd_edge_ids();
-            (base.fwd_offsets(), base.fwd_entries(), ids, &self.added_out)
+            (self.base.forward(), &self.added_out)
         };
-        // An edge's endpoints as (the node whose adjacency holds it, the
-        // other endpoint).
+        // An edge's endpoints as (the node whose run holds it, the other
+        // endpoint).
         let ends = |e: &Edge| {
             if reverse {
                 (e.target, e.source)
@@ -403,82 +415,45 @@ impl DeltaGraph {
                 (e.source, e.target)
             }
         };
-        let mut changed: Vec<NodeId> = overlay.keys().copied().collect();
-        changed.extend(self.tombstones.values().map(|e| ends(e).0));
+        // Deleted keys by the node whose run holds them, ascending.
+        let mut removed: Vec<(usize, u32)> = self
+            .tombstones
+            .iter()
+            .map(|(&key, edge)| (ends(edge).0.index(), key))
+            .collect();
+        removed.sort_unstable();
+        let mut changed: Vec<usize> = overlay.keys().map(|node| node.index()).collect();
+        changed.extend(removed.iter().map(|&(node, _)| node));
         changed.sort_unstable();
         changed.dedup();
 
-        let base_n = base_offsets.len() - 1;
-        let n = self.node_count();
-        let mut out = Packed {
-            offsets: Vec::with_capacity(n + 1),
-            entries: Vec::with_capacity(self.edge_count()),
-            ids: Vec::with_capacity(self.edge_count()),
-        };
-        out.offsets.push(0);
-        // Appends nodes `from..to`, none of which the overlay changed.
-        let copy_run = |out: &mut Packed, from: usize, to: usize| {
-            let stop = to.min(base_n);
-            if from < stop {
-                let (lo, hi) = (base_offsets[from], base_offsets[stop]);
-                let at = out.entries.len() as u32;
-                let shifted = base_offsets[from + 1..=stop].iter().map(|&o| o - lo + at);
-                out.offsets.extend(shifted);
-                let span = lo as usize..hi as usize;
-                out.entries.extend_from_slice(&base_entries[span.clone()]);
-                let ids = base_ids[span]
-                    .iter()
-                    .map(|id| EdgeId::new(renumber[id.index()]));
-                out.ids.extend(ids);
-            }
-            // Nodes past the base: added, with no overlay edges here.
-            out.offsets.resize(to + 1, out.entries.len() as u32);
-        };
-        let mut next = 0;
-        for node in changed {
-            let index = node.index();
-            copy_run(&mut out, next, index);
-            if index < base_n {
-                let span = base_offsets[index] as usize..base_offsets[index + 1] as usize;
-                for (entry, id) in base_entries[span.clone()].iter().zip(&base_ids[span]) {
-                    let new = renumber[id.index()];
-                    if new != u32::MAX {
-                        out.entries.push(*entry);
-                        out.ids.push(EdgeId::new(new));
+        let mut removed = removed.as_slice();
+        old.splice(&changed, rekey, |node, entries, keys, run| {
+            let (own, rest) = removed.split_at(removed.partition_point(|&(n, _)| n == node));
+            removed = rest;
+            if own.is_empty() && rekey.is_none() {
+                run.extend(entries, keys);
+            } else {
+                let mut pending: Vec<u32> = own.iter().map(|&(_, key)| key).collect();
+                for (entry, &key) in entries.iter().zip(keys) {
+                    if let Some(at) = pending.iter().position(|&dead| dead == key) {
+                        pending.swap_remove(at);
+                    } else {
+                        run.push(*entry, rekey.map_or(key, |rekey| rekey(key)));
                     }
                 }
             }
-            for &i in Self::overlay_indices(overlay, node) {
+            for &i in Self::overlay_indices(overlay, NodeId::from(node)) {
                 if self.added_alive[i] {
                     let edge = &self.added_edges[i];
-                    out.entries.push(CsrEntry {
+                    let entry = CsrEntry {
                         label: edge.label,
                         node: ends(edge).1,
-                    });
-                    out.ids.push(EdgeId::new(overlay_ids[i]));
+                    };
+                    run.push(entry, insert_keys[i]);
                 }
             }
-            out.offsets.push(out.entries.len() as u32);
-            next = index + 1;
-        }
-        copy_run(&mut out, next, n);
-        out
-    }
-
-    fn base_out_parts(&self, node: NodeId) -> (&[CsrEntry], &[EdgeId]) {
-        if node.index() < self.base.node_count() {
-            (self.base.out(node), self.base.out_ids(node))
-        } else {
-            (&[], &[])
-        }
-    }
-
-    fn base_in_parts(&self, node: NodeId) -> (&[CsrEntry], &[EdgeId]) {
-        if node.index() < self.base.node_count() {
-            (self.base.inc(node), self.base.inc_ids(node))
-        } else {
-            (&[], &[])
-        }
+        })
     }
 
     fn overlay_indices(
@@ -489,61 +464,49 @@ impl DeltaGraph {
     }
 }
 
-/// One direction's packed CSR arrays, as [`DeltaGraph::compact`] builds them.
-struct Packed {
-    offsets: Vec<u32>,
-    entries: Vec<CsrEntry>,
-    ids: Vec<EdgeId>,
+/// `sorted` with `keys` (ascending, none of them in `sorted`) merged in.
+fn merge_sorted(sorted: &[u32], keys: impl Iterator<Item = u32>) -> Arc<[u32]> {
+    let mut merged = Vec::with_capacity(sorted.len() + keys.size_hint().0);
+    let mut rest = sorted;
+    for key in keys {
+        let (below, above) = rest.split_at(rest.partition_point(|&k| k < key));
+        merged.extend_from_slice(below);
+        merged.push(key);
+        rest = above;
+    }
+    merged.extend_from_slice(rest);
+    merged.into()
 }
 
 /// Iterator over the surviving `(label, neighbor)` pairs of one node of a
 /// [`DeltaGraph`]: base entries with tombstones skipped, then overlay
 /// insertions.
 pub struct DeltaNeighbors<'a> {
-    base_entries: std::slice::Iter<'a, CsrEntry>,
-    base_ids: std::slice::Iter<'a, EdgeId>,
-    tombstones: &'a BTreeMap<EdgeId, Edge>,
-    overlay: std::slice::Iter<'a, usize>,
-    edges: &'a [Edge],
-    alive: &'a [bool],
-    reverse: bool,
+    edges: DeltaIncidentEdges<'a>,
 }
 
 impl<'a> Iterator for DeltaNeighbors<'a> {
     type Item = (LabelId, NodeId);
 
     fn next(&mut self) -> Option<(LabelId, NodeId)> {
-        for entry in self.base_entries.by_ref() {
-            let id = self.base_ids.next().expect("ids aligned with entries");
-            if !self.tombstones.contains_key(id) {
-                return Some((entry.label, entry.node));
-            }
-        }
-        for &i in self.overlay.by_ref() {
-            if self.alive[i] {
-                let edge = self.edges[i];
-                let neighbor = if self.reverse {
-                    edge.source
-                } else {
-                    edge.target
-                };
-                return Some((edge.label, neighbor));
-            }
-        }
-        None
+        let reverse = self.edges.reverse;
+        self.edges.next().map(|(_, edge)| {
+            let neighbor = if reverse { edge.source } else { edge.target };
+            (edge.label, neighbor)
+        })
     }
 }
 
 /// Iterator over the surviving `(edge id, edge)` pairs incident to one node
 /// of a [`DeltaGraph`] (overlay edges numbered from `base.edge_count()`).
 pub struct DeltaIncidentEdges<'a> {
+    base: &'a CsrGraph,
     base_entries: std::slice::Iter<'a, CsrEntry>,
-    base_ids: std::slice::Iter<'a, EdgeId>,
-    tombstones: &'a BTreeMap<EdgeId, Edge>,
+    base_keys: std::slice::Iter<'a, u32>,
+    tombstones: &'a BTreeMap<u32, Edge>,
     overlay: std::slice::Iter<'a, usize>,
     edges: &'a [Edge],
     alive: &'a [bool],
-    base_edge_count: usize,
     pivot: NodeId,
     reverse: bool,
 }
@@ -553,22 +516,44 @@ impl<'a> Iterator for DeltaIncidentEdges<'a> {
 
     fn next(&mut self) -> Option<(EdgeId, Edge)> {
         for entry in self.base_entries.by_ref() {
-            let id = self.base_ids.next().expect("ids aligned with entries");
-            if !self.tombstones.contains_key(id) {
+            let key = *self.base_keys.next().expect("keys aligned with entries");
+            if !self.tombstones.contains_key(&key) {
                 let edge = if self.reverse {
                     Edge::new(entry.node, entry.label, self.pivot)
                 } else {
                     Edge::new(self.pivot, entry.label, entry.node)
                 };
-                return Some((*id, edge));
+                return Some((self.base.edge_id(key), edge));
             }
         }
         for &i in self.overlay.by_ref() {
             if self.alive[i] {
-                return Some((EdgeId::from(self.base_edge_count + i), self.edges[i]));
+                let id = EdgeId::from(self.base.edge_count() + i);
+                return Some((id, self.edges[i]));
             }
         }
         None
+    }
+}
+
+impl DeltaGraph {
+    fn incident(&self, node: NodeId, reverse: bool) -> DeltaIncidentEdges<'_> {
+        let (run, overlay) = if reverse {
+            (self.base.reverse().run(node.index()), &self.added_in)
+        } else {
+            (self.base.forward().run(node.index()), &self.added_out)
+        };
+        DeltaIncidentEdges {
+            base: &self.base,
+            base_entries: run.0.iter(),
+            base_keys: run.1.iter(),
+            tombstones: &self.tombstones,
+            overlay: Self::overlay_indices(overlay, node),
+            edges: &self.added_edges,
+            alive: &self.added_alive,
+            pivot: node,
+            reverse,
+        }
     }
 }
 
@@ -604,59 +589,23 @@ impl GraphBackend for DeltaGraph {
     }
 
     fn successors(&self, node: NodeId) -> DeltaNeighbors<'_> {
-        let (entries, ids) = self.base_out_parts(node);
         DeltaNeighbors {
-            base_entries: entries.iter(),
-            base_ids: ids.iter(),
-            tombstones: &self.tombstones,
-            overlay: Self::overlay_indices(&self.added_out, node),
-            edges: &self.added_edges,
-            alive: &self.added_alive,
-            reverse: false,
+            edges: self.incident(node, false),
         }
     }
 
     fn predecessors(&self, node: NodeId) -> DeltaNeighbors<'_> {
-        let (entries, ids) = self.base_in_parts(node);
         DeltaNeighbors {
-            base_entries: entries.iter(),
-            base_ids: ids.iter(),
-            tombstones: &self.tombstones,
-            overlay: Self::overlay_indices(&self.added_in, node),
-            edges: &self.added_edges,
-            alive: &self.added_alive,
-            reverse: true,
+            edges: self.incident(node, true),
         }
     }
 
     fn out_edges(&self, node: NodeId) -> DeltaIncidentEdges<'_> {
-        let (entries, ids) = self.base_out_parts(node);
-        DeltaIncidentEdges {
-            base_entries: entries.iter(),
-            base_ids: ids.iter(),
-            tombstones: &self.tombstones,
-            overlay: Self::overlay_indices(&self.added_out, node),
-            edges: &self.added_edges,
-            alive: &self.added_alive,
-            base_edge_count: self.base.edge_count(),
-            pivot: node,
-            reverse: false,
-        }
+        self.incident(node, false)
     }
 
     fn in_edges(&self, node: NodeId) -> DeltaIncidentEdges<'_> {
-        let (entries, ids) = self.base_in_parts(node);
-        DeltaIncidentEdges {
-            base_entries: entries.iter(),
-            base_ids: ids.iter(),
-            tombstones: &self.tombstones,
-            overlay: Self::overlay_indices(&self.added_in, node),
-            edges: &self.added_edges,
-            alive: &self.added_alive,
-            base_edge_count: self.base.edge_count(),
-            pivot: node,
-            reverse: true,
-        }
+        self.incident(node, true)
     }
 
     fn out_degree(&self, node: NodeId) -> usize {
@@ -780,6 +729,48 @@ mod tests {
         }
         assert_eq!(compacted.node_name(d), "d");
         assert_eq!(compacted.epoch(), 1, "base was epoch 0");
+    }
+
+    #[test]
+    fn compact_shares_every_chunk_holding_no_changed_node() {
+        use crate::adjacency::CHUNK_NODES;
+
+        // A ring over three chunks: node i -x-> i + 1.
+        let n = 3 * CHUNK_NODES;
+        let mut g = Graph::new();
+        let nodes: Vec<NodeId> = (0..n).map(|i| g.add_node(format!("v{i}"))).collect();
+        for i in 0..n {
+            g.add_edge_by_name(nodes[i], "x", nodes[(i + 1) % n]);
+        }
+        let base = Arc::new(CsrGraph::from_graph(&g));
+        let x = g.label_id("x").unwrap();
+
+        // Remove 5 -x-> 6 (chunk 0 both ways); add an edge from a node of
+        // chunk 2 to a new node, which opens chunk 3.
+        let mut delta = DeltaGraph::new(Arc::clone(&base));
+        assert!(delta.remove_edge(nodes[5], x, nodes[6]));
+        let far = nodes[2 * CHUNK_NODES + CHUNK_NODES / 2];
+        let fresh = delta.add_node("fresh");
+        delta.add_edge(far, x, fresh);
+        let compacted = delta.compact();
+        for (new, old, changed) in [
+            (compacted.forward(), base.forward(), [5, far.index()]),
+            (compacted.reverse(), base.reverse(), [6, fresh.index()]),
+        ] {
+            let opened = changed.iter().map(|v| v / CHUNK_NODES + 1).max().unwrap();
+            assert_eq!(new.chunk_count(), opened.max(old.chunk_count()));
+            for chunk in 0..new.chunk_count() {
+                let touched = changed.iter().any(|v| v / CHUNK_NODES == chunk);
+                assert_eq!(new.shares_chunk(old, chunk), !touched, "chunk {chunk}");
+            }
+        }
+
+        // An empty overlay shares every chunk of both directions.
+        let unchanged = DeltaGraph::new(Arc::clone(&base)).compact();
+        for chunk in 0..base.forward().chunk_count() {
+            assert!(unchanged.forward().shares_chunk(base.forward(), chunk));
+            assert!(unchanged.reverse().shares_chunk(base.reverse(), chunk));
+        }
     }
 
     #[test]

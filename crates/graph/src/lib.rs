@@ -16,6 +16,9 @@
 //! * [`csr::CsrGraph`] — an immutable, cache-friendly snapshot; a first-class
 //!   backend for the traversal-heavy evaluation and learning code, stamped
 //!   with a version [`epoch`](csr::CsrGraph::epoch);
+//! * [`adjacency::Adjacency`] — the copy-on-write chunked adjacency behind
+//!   the snapshot (and the `gps-exec` label index), which lets a publish
+//!   share every chunk it does not change;
 //! * [`delta::DeltaGraph`] — a mutable overlay (insertions + tombstoned
 //!   deletions) over a shared snapshot; [`compact`](delta::DeltaGraph::compact)
 //!   publishes the next epoch;
@@ -59,6 +62,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod adjacency;
 pub mod backend;
 pub mod csr;
 pub mod delta;
@@ -74,8 +78,9 @@ pub mod prefix_tree;
 pub mod stats;
 pub mod traversal;
 
+pub use adjacency::{Adjacency, ChunkWriter, Scatter, CHUNK_NODES};
 pub use backend::GraphBackend;
-pub use csr::{CsrEntry, CsrGraph};
+pub use csr::{CsrAdjacency, CsrEntry, CsrGraph};
 pub use delta::{DeltaGraph, GraphDelta, UpdateError, UpdateOp};
 pub use graph::{Edge, Graph};
 pub use ids::{EdgeId, LabelId, NodeId};

@@ -56,6 +56,7 @@ pub(crate) fn put_str(out: &mut Vec<u8>, value: &str) {
 /// A bounds-checked reader over a byte slice.  Every method returns `None`
 /// instead of panicking when the input is truncated or malformed, so decoders
 /// built on it reject corrupt data gracefully.
+#[derive(Clone)]
 pub(crate) struct Cursor<'a> {
     bytes: &'a [u8],
     pos: usize,

@@ -13,7 +13,7 @@
 //! node names  (len-prefixed strings, node-id order)
 //! label names (len-prefixed strings, label-id order)
 //! zero padding to 8-byte alignment
-//! fwd_offsets  : (n + 1) × u32  // packed arrays, verbatim CSR layout
+//! fwd_offsets  : (n + 1) × u32  // packed arrays, flat CSR layout
 //! fwd_entries  : m × (label u32, node u32)
 //! fwd_edge_ids : m × u32
 //! rev_offsets  : (n + 1) × u32
@@ -22,11 +22,15 @@
 //! crc32: u32                    // over everything before it
 //! ```
 //!
-//! The packed region starts 8-byte aligned at a header-recorded offset and is
-//! the CSR arrays verbatim (little-endian `u32`s), so a later PR can mmap the
-//! region and point the graph at it without a decode pass.  The name→id map
-//! and the label interner's reverse index are rebuilt on load (first-bearer
-//! semantics, identical to a from-scratch CSR build).
+//! The packed region starts 8-byte aligned at a header-recorded offset and
+//! holds the flat CSR arrays (little-endian `u32`s) of the snapshot's
+//! chunked adjacency: offsets accumulated over the nodes' runs, entries in
+//! node order, and each entry's public edge id.  The decoder checks that
+//! each direction's ids are a permutation of `0..m` naming the same
+//! `(source, label, target)` on both sides, then scatters the arrays back
+//! into chunks keyed by those ids.  The name→id map and the label
+//! interner's reverse index are rebuilt on load (first-bearer semantics,
+//! identical to a from-scratch CSR build).
 //!
 //! Encoding is deterministic — byte-identical snapshots for byte-identical
 //! graphs — which is what the crash-injection suite leans on to assert
@@ -35,7 +39,7 @@
 use crate::codec::{crc32, put_str, put_u32, put_u64, Cursor};
 use crate::error::StoreError;
 use gps_graph::csr::CsrEntry;
-use gps_graph::{CsrGraph, EdgeId, LabelId, LabelInterner, NodeId};
+use gps_graph::{CsrAdjacency, CsrGraph, LabelId, LabelInterner, NodeId, Scatter};
 
 /// First bytes of every checkpoint file.
 pub const SNAPSHOT_MAGIC: &[u8; 8] = b"GPSSNAP1";
@@ -66,29 +70,34 @@ pub fn encode_snapshot(csr: &CsrGraph) -> Vec<u8> {
     }
     let arrays_offset = out.len() as u64;
     out[arrays_offset_pos..arrays_offset_pos + 8].copy_from_slice(&arrays_offset.to_le_bytes());
-    for &offset in csr.fwd_offsets() {
-        put_u32(&mut out, offset);
-    }
-    for entry in csr.fwd_entries() {
-        put_u32(&mut out, entry.label.raw());
-        put_u32(&mut out, entry.node.raw());
-    }
-    for &id in csr.fwd_edge_ids() {
-        put_u32(&mut out, id.raw());
-    }
-    for &offset in csr.rev_offsets() {
-        put_u32(&mut out, offset);
-    }
-    for entry in csr.rev_entries() {
-        put_u32(&mut out, entry.label.raw());
-        put_u32(&mut out, entry.node.raw());
-    }
-    for &id in csr.rev_edge_ids() {
-        put_u32(&mut out, id.raw());
-    }
+    let ids = csr.edge_ids_by_key();
+    put_direction(&mut out, n, csr.forward(), &ids);
+    put_direction(&mut out, n, csr.reverse(), &ids);
     let crc = crc32(&out);
     put_u32(&mut out, crc);
     out
+}
+
+/// One direction's flat arrays over `n` nodes: offsets, entries, edge ids
+/// (`ids` maps keys to ids).
+fn put_direction(out: &mut Vec<u8>, n: usize, adjacency: &CsrAdjacency, ids: &[u32]) {
+    let mut offset = 0u32;
+    put_u32(out, offset);
+    for node in 0..n {
+        offset += adjacency.items(node).len() as u32;
+        put_u32(out, offset);
+    }
+    for node in 0..n {
+        for entry in adjacency.items(node) {
+            put_u32(out, entry.label.raw());
+            put_u32(out, entry.node.raw());
+        }
+    }
+    for node in 0..n {
+        for &key in adjacency.run(node).1 {
+            put_u32(out, ids[key as usize]);
+        }
+    }
 }
 
 fn corrupt(cursor: &Cursor<'_>, reason: &str) -> StoreError {
@@ -118,40 +127,65 @@ fn read_offsets(
     Ok(offsets)
 }
 
-fn read_entries(
-    cursor: &mut Cursor<'_>,
-    m: usize,
-    n: usize,
-    labels: usize,
-    side: &str,
-) -> Result<Vec<CsrEntry>, StoreError> {
-    let mut entries = Vec::with_capacity(m);
-    for _ in 0..m {
-        let label = cursor
-            .u32()
-            .ok_or_else(|| corrupt(cursor, &format!("truncated {side} entries")))?;
-        let node = cursor
-            .u32()
-            .ok_or_else(|| corrupt(cursor, &format!("truncated {side} entries")))?;
-        if label as usize >= labels || node as usize >= n {
-            return Err(corrupt(cursor, &format!("{side} entry out of range")));
-        }
-        entries.push(CsrEntry {
-            label: LabelId::new(label),
-            node: NodeId::new(node),
-        });
-    }
-    Ok(entries)
-}
+/// A slot of the edge table [`read_direction`] fills: no edge yet.
+const VACANT: [u32; 3] = [u32::MAX; 3];
 
-fn read_edge_ids(cursor: &mut Cursor<'_>, m: usize, side: &str) -> Result<Vec<EdgeId>, StoreError> {
-    let mut ids = Vec::with_capacity(m);
-    for _ in 0..m {
-        ids.push(EdgeId::new(cursor.u32().ok_or_else(|| {
-            corrupt(cursor, &format!("truncated {side} edge ids"))
-        })?));
+/// Reads one direction's flat arrays into a keyed adjacency, validating
+/// them against `edges`, the `(source, label, target)` of every edge id.
+/// The forward direction fills the table, so its ids must be distinct and
+/// below `m`: a permutation of `0..m`.  The reverse direction must name,
+/// under each id, that same edge — and each one once, as it empties the
+/// slots it matches.
+fn read_direction(
+    cursor: &mut Cursor<'_>,
+    (n, m, labels): (usize, usize, usize),
+    edges: &mut [[u32; 3]],
+    reverse: bool,
+) -> Result<CsrAdjacency, StoreError> {
+    let side = if reverse { "reverse" } else { "forward" };
+    let offsets = read_offsets(cursor, n, m, side)?;
+    let mut ids = cursor.clone();
+    ids.seek_to(cursor.pos() + m * 8)
+        .ok_or_else(|| corrupt(cursor, &format!("truncated {side} edge ids")))?;
+    let truncated = |at: &Cursor<'_>, what: &str| corrupt(at, &format!("truncated {side} {what}"));
+    let mut scatter = Scatter::new(offsets.windows(2).map(|w| w[1] - w[0]).collect());
+    for (node, span) in offsets.windows(2).enumerate() {
+        for _ in span[0]..span[1] {
+            let label = cursor.u32().ok_or_else(|| truncated(cursor, "entries"))?;
+            let other = cursor.u32().ok_or_else(|| truncated(cursor, "entries"))?;
+            if label as usize >= labels || other as usize >= n {
+                return Err(corrupt(cursor, &format!("{side} entry out of range")));
+            }
+            let id = ids.u32().ok_or_else(|| truncated(&ids, "edge ids"))?;
+            let slot = edges
+                .get_mut(id as usize)
+                .ok_or_else(|| corrupt(&ids, &format!("{side} edge id out of range")))?;
+            let (source, target) = if reverse {
+                (other, node as u32)
+            } else {
+                (node as u32, other)
+            };
+            let edge = [source, label, target];
+            if reverse && *slot != edge {
+                return Err(corrupt(
+                    &ids,
+                    "reverse adjacency is not the forward transpose",
+                ));
+            } else if !reverse && *slot != VACANT {
+                return Err(corrupt(&ids, "duplicate forward edge id"));
+            }
+            *slot = if reverse { VACANT } else { edge };
+            let entry = CsrEntry {
+                label: LabelId::new(label),
+                node: NodeId::new(other),
+            };
+            scatter.put(node, entry, id);
+        }
     }
-    Ok(ids)
+    cursor
+        .seek_to(ids.pos())
+        .expect("the ids follow the entries");
+    Ok(scatter.finish())
 }
 
 /// Deserializes a checkpoint, validating the checksum and the structural
@@ -226,26 +260,18 @@ pub fn decode_snapshot(bytes: &[u8]) -> Result<CsrGraph, StoreError> {
         return Err(corrupt(&cursor, "packed-array region length mismatch"));
     }
 
-    let fwd_offsets = read_offsets(&mut cursor, n, m, "forward")?;
-    let fwd_entries = read_entries(&mut cursor, m, n, label_count, "forward")?;
-    let fwd_edge_ids = read_edge_ids(&mut cursor, m, "forward")?;
-    let rev_offsets = read_offsets(&mut cursor, n, m, "reverse")?;
-    let rev_entries = read_entries(&mut cursor, m, n, label_count, "reverse")?;
-    let rev_edge_ids = read_edge_ids(&mut cursor, m, "reverse")?;
+    let counts = (n, m, label_count);
+    let (fwd, rev) = {
+        let mut edges = vec![VACANT; m];
+        let fwd = read_direction(&mut cursor, counts, &mut edges, false)?;
+        (fwd, read_direction(&mut cursor, counts, &mut edges, true)?)
+    };
     if !cursor.is_empty() {
         return Err(corrupt(&cursor, "trailing bytes after the packed arrays"));
     }
 
     Ok(CsrGraph::from_raw_parts(
-        node_names,
-        labels,
-        fwd_offsets,
-        fwd_entries,
-        fwd_edge_ids,
-        rev_offsets,
-        rev_entries,
-        rev_edge_ids,
-        epoch,
+        node_names, labels, fwd, rev, epoch,
     ))
 }
 
@@ -335,6 +361,64 @@ mod tests {
             decode_snapshot(&bytes),
             Err(StoreError::Corrupt { .. })
         ));
+    }
+
+    /// Re-stamps the CRC of hand-edited checkpoint bytes.
+    fn restamp(bytes: &mut [u8]) {
+        let body_len = bytes.len() - 4;
+        let crc = crc32(&bytes[..body_len]);
+        bytes[body_len..].copy_from_slice(&crc.to_le_bytes());
+    }
+
+    /// Overwrites the `u32` at `at` and re-stamps the CRC.
+    fn patch_u32(bytes: &[u8], at: usize, value: u32) -> Vec<u8> {
+        let mut bytes = bytes.to_vec();
+        bytes[at..at + 4].copy_from_slice(&value.to_le_bytes());
+        restamp(&mut bytes);
+        bytes
+    }
+
+    #[test]
+    fn edge_ids_must_be_a_transposed_permutation() {
+        // Two edges, a -x-> b (id 0) and b -y-> a (id 1).  The packed
+        // region ends with the reverse ids before the CRC: a's incoming
+        // edge (1), then b's (0).
+        let mut g = Graph::new();
+        let a = g.add_node("a");
+        let b = g.add_node("b");
+        g.add_edge_by_name(a, "x", b);
+        g.add_edge_by_name(b, "y", a);
+        let bytes = encode_snapshot(&CsrGraph::from_graph(&g));
+        let last_rev_id = bytes.len() - 8;
+        let first_rev_id = last_rev_id - 4;
+        // The forward ids sit between the forward entries and the reverse
+        // offsets: n + 1 = 3 offsets and 2 entries (4 words) from the start.
+        let arrays_at = u64::from_le_bytes(bytes[36..44].try_into().unwrap()) as usize;
+        let first_fwd_id = arrays_at + (3 + 2 * 2) * 4;
+        assert!(decode_snapshot(&bytes).is_ok());
+        let word = |at: usize| u32::from_le_bytes(bytes[at..at + 4].try_into().unwrap());
+        assert_eq!(
+            (word(first_fwd_id), word(first_rev_id), word(last_rev_id)),
+            (0, 1, 0)
+        );
+        for (what, crafted) in [
+            ("reverse id out of range", patch_u32(&bytes, last_rev_id, 7)),
+            (
+                "forward id out of range",
+                patch_u32(&bytes, first_fwd_id, 2),
+            ),
+            ("duplicate forward id", patch_u32(&bytes, first_fwd_id, 1)),
+            ("duplicate reverse id", patch_u32(&bytes, last_rev_id, 1)),
+            (
+                "reverse ids naming the other edge",
+                patch_u32(&patch_u32(&bytes, first_rev_id, 0), last_rev_id, 1),
+            ),
+        ] {
+            assert!(
+                matches!(decode_snapshot(&crafted), Err(StoreError::Corrupt { .. })),
+                "{what}"
+            );
+        }
     }
 
     #[test]

@@ -379,6 +379,154 @@ fn splice_edge_cases_match_from_scratch_builds() {
     }
 }
 
+/// Stages one edge insertion on both the overlay and the shadow model.
+fn stage_add(delta: &mut DeltaGraph, shadow: &mut Shadow, s: usize, name: &str, t: usize) {
+    let label = delta.label(name);
+    if label.index() == shadow.labels.len() {
+        shadow.labels.push(name.to_string());
+    }
+    delta.add_edge(NodeId::from(s), label, NodeId::from(t));
+    shadow.edges.push((s, label.index(), t));
+}
+
+/// Stages the removal of the first surviving `(s, label, t)` edge on both.
+fn stage_remove(delta: &mut DeltaGraph, shadow: &mut Shadow, edge: (usize, usize, usize)) {
+    let (s, l, t) = edge;
+    assert!(delta.remove_edge(NodeId::from(s), LabelId::from(l), NodeId::from(t)));
+    let first = shadow
+        .edges
+        .iter()
+        .position(|&e| e == edge)
+        .expect("the shadow holds the removed edge");
+    shadow.edges.remove(first);
+}
+
+/// Chained publishes over a base spanning three full chunks and a partial
+/// fourth, with edits placed on the chunk layout's edges: a chunk's first
+/// and last node, the partial last chunk, added nodes that open a new
+/// chunk, a node emptied of edges, parallel duplicates split across
+/// publishes, and enough deletions to cross the re-key threshold.  Every
+/// epoch's snapshot, edge ids, checkpoint bytes and patched index must
+/// equal a from-scratch build's.
+#[test]
+fn chunk_boundary_publishes_match_from_scratch_builds() {
+    const CHUNK: usize = gps_graph::CHUNK_NODES;
+    let mut rng = StdRng::seed_from_u64(0xC0_FFEE);
+    let n = 3 * CHUNK + 40;
+    let mut g = Graph::new();
+    for label in ["x", "y", "z"] {
+        g.label(label);
+    }
+    for i in 0..n {
+        g.add_node(format!("n{i}"));
+    }
+    for _ in 0..3 * n {
+        let s = NodeId::from(rng.gen_range(0..n));
+        let t = NodeId::from(rng.gen_range(0..n));
+        g.add_edge(s, LabelId::from(rng.gen_range(0..3usize)), t);
+    }
+    let mut shadow = Shadow::from_graph(&g);
+    let mut snapshot = Arc::new(CsrGraph::from_graph(&g));
+    let mut index = LabelIndex::from_csr(&snapshot);
+
+    let (first, last, partial, emptied) = (CHUNK, 2 * CHUNK - 1, 3 * CHUNK + 7, CHUNK + 100);
+    let opened = 4 * CHUNK + 3;
+    let (mut saw_dead_keys, mut saw_rekey) = (false, false);
+    for round in 0..10 {
+        let context = format!("round {round}");
+        let mut delta = DeltaGraph::new(Arc::clone(&snapshot));
+        let mut removed = 0;
+        match round {
+            0 => {
+                // A chunk's first and last node, and the partial last chunk.
+                stage_add(&mut delta, &mut shadow, first, "x", last);
+                stage_add(&mut delta, &mut shadow, last, "y", first);
+                stage_add(&mut delta, &mut shadow, partial, "z", 0);
+                stage_add(&mut delta, &mut shadow, n - 1, "x", partial);
+                for node in [first, last, partial] {
+                    if let Some(&edge) = shadow.edges.iter().find(|e| e.0 == node) {
+                        stage_remove(&mut delta, &mut shadow, edge);
+                        removed += 1;
+                    }
+                }
+            }
+            1 => {
+                // Nodes that fill the partial chunk and open a fifth.
+                while shadow.nodes.len() <= opened {
+                    let name = format!("fresh{}", shadow.nodes.len());
+                    delta.add_node(name.clone());
+                    shadow.nodes.push(name);
+                }
+                stage_add(&mut delta, &mut shadow, opened, "x", first);
+                stage_add(&mut delta, &mut shadow, last, "w", opened);
+                stage_add(&mut delta, &mut shadow, opened, "y", opened);
+            }
+            2 => {
+                // Empty a node of every edge, outgoing and incoming.
+                while let Some(&edge) = shadow
+                    .edges
+                    .iter()
+                    .find(|e| e.0 == emptied || e.2 == emptied)
+                {
+                    stage_remove(&mut delta, &mut shadow, edge);
+                    removed += 1;
+                }
+                // The first parallel duplicate of first -z-> partial.
+                stage_add(&mut delta, &mut shadow, first, "z", partial);
+            }
+            3 => stage_add(&mut delta, &mut shadow, first, "z", partial),
+            4 => {
+                stage_remove(&mut delta, &mut shadow, (first, 2, partial));
+                removed += 1;
+            }
+            _ => {}
+        }
+        // Random deletions and insertions on top: the deletions pile up in
+        // the dead key list until a publish crosses the re-key threshold.
+        for _ in 0..rng.gen_range(6..12usize) {
+            let edge = shadow.edges[rng.gen_range(0..shadow.edges.len())];
+            stage_remove(&mut delta, &mut shadow, edge);
+            removed += 1;
+        }
+        for _ in 0..rng.gen_range(1..6usize) {
+            let s = rng.gen_range(0..shadow.nodes.len());
+            let t = rng.gen_range(0..shadow.nodes.len());
+            stage_add(
+                &mut delta,
+                &mut shadow,
+                s,
+                ["x", "y", "z"][rng.gen_range(0..3usize)],
+                t,
+            );
+        }
+
+        let summary = delta.delta();
+        let compacted = delta.compact();
+        let expected = shadow.build();
+        assert_snapshots_identical(&compacted, &expected, &context);
+        assert_eq!(
+            gps_store::encode_snapshot(&compacted.clone().with_epoch(0)),
+            gps_store::encode_snapshot(&expected),
+            "{context}: checkpoint bytes"
+        );
+        let patched = index.apply_delta(&summary, compacted.node_count(), compacted.label_count());
+        assert_indexes_equal(&patched, &LabelIndex::from_csr(&expected), &context);
+
+        // A key space wider than the edge set means dead keys are listed;
+        // a deleting publish that leaves none behind re-keyed.
+        let keys = compacted.edge_ids_by_key().len();
+        if keys > compacted.edge_count() {
+            saw_dead_keys = true;
+        } else if removed > 0 && saw_dead_keys {
+            saw_rekey = true;
+        }
+        snapshot = Arc::new(compacted);
+        index = patched;
+    }
+    assert!(saw_dead_keys, "some publish kept a dead key list");
+    assert!(saw_rekey, "some publish crossed the re-key threshold");
+}
+
 // ------------------------------------------- 2. pinned sessions byte-stable
 
 #[derive(Debug, PartialEq)]
